@@ -9,10 +9,13 @@ degree n is (n + 1) mod 2.  The tensor-word conventions:
     slot composition        sign (-1)^(|inner| * (s(a1)+..+s(ak)))
     differential            [c, m] = c.m - (-1)^|c| m.c
 
-Arity truncation mirrors the series layer: a structure or cochain with
-arity_bound N promises exact components through arity N and says nothing
-beyond; INF_ARITY marks objects whose higher components are genuinely
-zero.
+Arity truncation follows the one precision model of the series module:
+a structure or cochain with arity_bound N promises exact components
+through arity N and says nothing beyond, and arity_bound = EXACT marks
+an object whose higher components are genuinely zero.  EXACT saturates:
+
+    sum, differential  -> min(Na, Nb)
+    s_op               -> N - 1 (floored at 0)
 
 Dualization identifies the two-cell bar structures with the letter
 derivations of the word algebra: the suspension letter pairs with the
@@ -30,12 +33,7 @@ from .errors import (
 )
 from .noncomm import Derivation, GradingContext, NCSeries
 from .rings import CoeffRing, RingElem
-
-INF_ARITY = 10 ** 9
-
-
-def _cap(n: int) -> int:
-    return n if n < INF_ARITY else INF_ARITY
+from .series import EXACT, capped, lowered
 
 
 class GradedBasis:
@@ -226,6 +224,7 @@ class _ComponentBag:
     __slots__ = ("ring", "basis", "components", "arity_bound")
 
     def _init_bag(self, ring, basis, components, arity_bound, degree_of):
+        arity_bound = capped(arity_bound)
         self.ring = ring
         self.basis = basis
         self.arity_bound = arity_bound
@@ -251,7 +250,7 @@ class _ComponentBag:
 
     def max_arity(self) -> int:
         """Largest arity worth iterating: the bound, or the support cap."""
-        if self.arity_bound < INF_ARITY:
+        if self.arity_bound < EXACT:
             return self.arity_bound
         return max(self.components, default=0)
 
@@ -264,7 +263,7 @@ class AInfStructure(_ComponentBag):
 
     __slots__ = ()
 
-    def __init__(self, ring, basis, components, arity_bound=INF_ARITY):
+    def __init__(self, ring, basis, components, arity_bound=EXACT):
         if 0 in dict(components):
             raise StructureError("structures have no arity-0 component")
         self._init_bag(ring, basis, components, arity_bound, lambda k: -1)
@@ -273,7 +272,7 @@ class AInfStructure(_ComponentBag):
         return -1
 
     def __repr__(self):
-        bound = "" if self.arity_bound >= INF_ARITY else f", bound {self.arity_bound}"
+        bound = "" if self.arity_bound == EXACT else f", bound {self.arity_bound}"
         return f"AInfStructure(arities {sorted(self.components)}{bound})"
 
 
@@ -282,7 +281,7 @@ class HochschildCochain(_ComponentBag):
 
     __slots__ = ("degree",)
 
-    def __init__(self, ring, basis, degree, components, arity_bound=INF_ARITY):
+    def __init__(self, ring, basis, degree, components, arity_bound=EXACT):
         self.degree = degree
         self._init_bag(ring, basis, components, arity_bound, lambda k: degree)
 
@@ -512,13 +511,8 @@ def s_op(i: int, c: HochschildCochain) -> HochschildCochain:
             key = k - 1
             prev = out.get(key)
             out[key] = comp_out if prev is None else prev + comp_out
-    bound = c.arity_bound if c.arity_bound >= INF_ARITY else c.arity_bound - 1
-    return HochschildCochain(c.ring, basis, c.degree + 1, out, max(bound, 0))
-
-
-def h_op(i: int, c: HochschildCochain, m: AInfStructure) -> HochschildCochain:
-    """One normalization step: c - d(s_i c) - s_i(d c)."""
-    return c - hochschild_differential(s_op(i, c), m) - s_op(i, hochschild_differential(c, m))
+    bound = max(lowered(c.arity_bound, 1), 0)
+    return HochschildCochain(c.ring, basis, c.degree + 1, out, bound)
 
 
 def normalize_cochain(c: HochschildCochain, m: AInfStructure):
@@ -561,7 +555,6 @@ def dualize_back(m: AInfStructure) -> Derivation:
     d = basis.degree(letters["t"]) - 1
     grading = GradingContext(d)
     gen_letter = {g: l for l, g in letters.items()}
-    maxlen = _cap(m.arity_bound)
     images = {"T": {}, "t": {}}
     for k, comp in m.components.items():
         for word, vec in comp.table.items():
@@ -572,8 +565,8 @@ def dualize_back(m: AInfStructure) -> Derivation:
                 add = c.scaled(sign) if sign < 0 else c
                 s = tgt.get(letters_word)
                 tgt[letters_word] = add if s is None else s + add
-    on_tau = NCSeries(m.ring, grading, images["T"], maxlen)
-    on_t = NCSeries(m.ring, grading, images["t"], maxlen)
+    on_tau = NCSeries(m.ring, grading, images["T"], m.arity_bound)
+    on_t = NCSeries(m.ring, grading, images["t"], m.arity_bound)
     return Derivation(on_tau, on_t, 1)
 
 
@@ -584,7 +577,7 @@ def dualize(xi: Derivation, basis: GradedBasis) -> AInfStructure:
     letters = _two_cell_letters(basis)
     if basis.degree(letters["t"]) - 1 != xi.grading.d:
         raise BasisError("basis cell degree does not match the derivation")
-    bound = _cap(min(xi.onTau.maxlen, xi.onT.maxlen))
+    bound = min(xi.onTau.maxlen, xi.onT.maxlen)
     tables = {}
     for letter, img in (("T", xi.onTau), ("t", xi.onT)):
         target = letters[letter]
@@ -603,16 +596,3 @@ def dualize(xi: Derivation, basis: GradedBasis) -> AInfStructure:
         k: MultiComponent(xi.ring, basis, k, -1, tbl) for k, tbl in tables.items()
     }
     return AInfStructure(xi.ring, basis, comps, bound)
-
-
-# -- bar-side contracting homotopy (test utility) -------------------------
-
-
-def bar_homotopy_word(ring, basis, word) -> dict:
-    """Prepend the unit: the contracting homotopy of the bar complex.
-
-    With the conventions above the plus sign makes d(s(w)) + s(d(w)) = w
-    on nonempty words over a unital structure; the empty word spans the
-    part the homotopy does not see.
-    """
-    return {(basis.UNIT,) + tuple(word): ring.one()}

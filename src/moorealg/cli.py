@@ -141,9 +141,7 @@ def _build_algebra(opt) -> MooreAlgebra:
 def _cmd_check(opt):
     M = _build_algebra(opt)
     wordlen = opt.trunc()
-    ok, witness = check_square_zero(
-        moore_mstar(M), maxlen=None if wordlen == EXACT else wordlen
-    )
+    ok, witness = check_square_zero(moore_mstar(M), maxlen=wordlen)
     lines = [f"kind: {M.kind}", f"d: {M.d}", f"ring: {M.ring.spec()}"]
     if M.kind == "even":
         lines.append(f"u: {format_series(M.u)}")
@@ -271,9 +269,7 @@ def _cmd_verify_universal(opt):
         M = MooreAlgebra.odd(v, w, 1)
     else:
         raise ParseError(f"bad parity {parity!r}", 0)
-    ok, witness = check_square_zero(
-        moore_mstar(M), maxlen=None if wordlen == EXACT else wordlen
-    )
+    ok, witness = check_square_zero(moore_mstar(M), maxlen=wordlen)
     if not ok:
         raise InternalError(f"universal square-zero failed on {witness!r}")
     return ["m∘m = 0: PASS"], {
@@ -603,8 +599,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_series_values(argv) -> list:
+    """Glue a series that starts with "-" onto its flag as --flag=TEXT.
+
+    argparse reads such a token as an option, so "--series -2*t^4" would
+    otherwise fail with "expected one argument".
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in ("--series", "--series2") and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_series_values(argv))
     try:
         opt = _Options(args)
         lines, payload = _HANDLERS[args.verb](opt)

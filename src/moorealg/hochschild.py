@@ -2,11 +2,11 @@
 
 For an even structure with classifying series u the cohomology is the
 quotient of the one-variable series ring by the ordinary derivative
-u'(t).  Three routes are implemented: the closed form (hh_closed_form),
-a brute-force kernel/image computation on normalized derivations over a
-field (hh_bruteforce), and the valuation-ring structure analysis
-(hh_structure) that decides between a residue-field algebra and a
-finite free quotient cut out by a distinguished polynomial.
+u'(t).  Two routes are implemented: the closed form (hh_closed_form),
+which over Z/p^K decides between a residue-field algebra and a finite
+free quotient cut out by a distinguished polynomial, and a brute-force
+kernel/image computation on normalized derivations over a field
+(hh_bruteforce).
 
 Over a field with nonzero linear coefficient the derivative is an
 invertible series and the quotient collapses to 0; the interesting
@@ -32,13 +32,12 @@ from .errors import (
     ZeroDivisorError,
 )
 from .rings import CoeffRing
-from .series import EXACT, PowerSeries, derivative, format_series, weierstrass_rank
+from .series import EXACT, PowerSeries, derivative, format_series, lowered, weierstrass_rank
 
 __all__ = [
     "HHReport",
     "hh_bruteforce",
     "hh_closed_form",
-    "hh_structure",
     "weierstrass_factor",
 ]
 
@@ -51,7 +50,8 @@ class HHReport:
     ramification_index, and mod_p_height stay None when they do not
     apply.  discrepancy compares the computed rank against the height
     of u modulo p and is the honest record of the off-by-one between
-    the two (see hh_structure).
+    the two: for u = p*t + (unit)*t^n with n prime to p the factor of
+    u' has degree n-1, so the flag is set.
     """
 
     ring: CoeffRing
@@ -131,7 +131,9 @@ def weierstrass_factor(f: PowerSeries):
         return PowerSeries(ring, {0: ring.one()}, EXACT), 0
     K = ring.K
     flow = PowerSeries(ring, {i: c for i, c in f.coeffs.items() if i < r}, EXACT)
-    htr = (K + 2) * r if f.trunc == EXACT else f.trunc - r
+    # each pass gains one power of p and spends r slots, so K + 2 passes'
+    # worth of precision is all the division can use
+    htr = min(lowered(f.trunc, r), (K + 2) * r)
     if htr < r - 1:
         raise PrecisionError("truncation too small for the factor degree")
     fhigh = PowerSeries(
@@ -145,18 +147,21 @@ def weierstrass_factor(f: PowerSeries):
     while cur.coeffs:
         # the shift by r below needs r visible slots to tell a finished
         # division from an invisible tail
-        if cur.trunc != EXACT and cur.trunc < r:
+        if cur.trunc < r:
             raise PrecisionError("truncation exhausted during division")
         passes += 1
         if passes > K + 2:
-            raise InternalError("division failed to contract")
+            raise InternalError(
+                f"division failed to contract for f = {format_series(f)}: "
+                f"{passes - 1} passes leave {format_series(cur)}"
+            )
         for i, c in cur.coeffs.items():
             if i < r:
                 rho[i] = rho[i] + c if i in rho else c
         ch = PowerSeries(
             ring,
             {i - r: c for i, c in cur.coeffs.items() if i >= r},
-            EXACT if cur.trunc == EXACT else cur.trunc - r,
+            lowered(cur.trunc, r),
         )
         if not ch.coeffs:
             break
@@ -165,10 +170,14 @@ def weierstrass_factor(f: PowerSeries):
     for i, c in rho.items():
         if c:
             w[i] = -c
-    for i, c in w.items():
+    factor = PowerSeries(ring, w, EXACT)
+    for i, c in factor.coeffs.items():
         if i < r and c.valuation() == 0:
-            raise InternalError("computed factor is not distinguished")
-    return PowerSeries(ring, w, EXACT), r
+            raise InternalError(
+                f"computed factor {format_series(factor)} of f = "
+                f"{format_series(f)} is not distinguished"
+            )
+    return factor, r
 
 
 def _mod_p_height(u: PowerSeries):
@@ -267,7 +276,7 @@ def hh_bruteforce(M, maxdeg: int):
         raise FieldRequiredError(f"{ring.spec()} is not a (graded) field")
     if maxdeg < 0:
         raise StructureError("maxdeg must be nonnegative")
-    if u.trunc != EXACT and u.trunc < maxdeg + 1:
+    if u.trunc < maxdeg + 1:
         raise PrecisionError("truncation too small for the requested degrees")
     up = derivative(u)
     dim = maxdeg + 1
@@ -286,26 +295,3 @@ def hh_bruteforce(M, maxdeg: int):
         col = [[rows[dim + i][j]] for i in range(dim)]
         dims.append(1 - echelon_rank(col))
     return dims
-
-
-def hh_structure(M) -> HHReport:
-    """Valuation-ring analysis with both indices reported.
-
-    Requires u1 to be a unit multiple of p.  The report's rank is the
-    computed one (degree of the distinguished factor of u'); its
-    mod_p_height is the first unit slot of u.  For height n prime to p
-    the factor has degree n-1, so the two always differ and the
-    discrepancy flag on the report is set; the residue branch has no
-    finite rank and no flag.
-    """
-    if M.kind != "even":
-        raise StructureError("cohomology analysis covers even data only")
-    ring = M.u.ring
-    if ring.mode != "Zp":
-        raise NoUniformizerError(f"{ring.spec()} has no uniformizer")
-    u1 = M.u.coeffs.get(1)
-    if u1 is None or u1.valuation() != 1:
-        raise StructureError(
-            "linear coefficient must be a unit multiple of the uniformizer"
-        )
-    return hh_closed_form(M)

@@ -47,6 +47,7 @@ from .series import (
     EXACT,
     PowerSeries,
     compose,
+    format_series,
     height,
     is_canonical,
     is_trivial,
@@ -363,7 +364,10 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
         cur = compose(cur, gi)
         wit = compose(wit, gi)
         if cur.coeffs != {1: pi}:
-            raise InternalError("trivial reduction failed to verify")
+            raise InternalError(
+                f"trivial reduction failed to verify: {format_series(u)} "
+                f"reduced to {format_series(cur)}"
+            )
         return CanonicalForm("trivial", None, cur, wit)
     k = units[0]
     if k % p == 0:
@@ -375,7 +379,10 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
         cur, wit = _digit_sweep(cur, wit, k)
     ok, n = is_canonical(cur)
     if not ok or n != k:
-        raise InternalError("canonical reduction failed to verify")
+        raise InternalError(
+            f"canonical reduction failed to verify: {format_series(u)} "
+            f"reduced to {format_series(cur)}, anchor t^{k}"
+        )
     return CanonicalForm("canonical", k, cur, wit)
 
 

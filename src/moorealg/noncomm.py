@@ -8,12 +8,14 @@ is the scalar 1.
 
 Truncation is by word length.  An NCSeries with maxlen L promises that
 every word of length <= L has its exact stored coefficient; nothing is
-claimed beyond L.  INF_LEN marks exact (polynomial) elements.  The same
-bookkeeping style as the one-variable series layer applies:
+claimed beyond L.  Bounds follow the one precision model of the series
+module: maxlen = EXACT marks a finite sum of words known completely,
+and EXACT saturates under every formula below.
 
     add       -> min(La, Lb)
     nc_mul    -> min(La + ord(b), Lb + ord(a))
     apply xi  -> min(Lx + s, ord(x) + Limg - 1)   s = min image order - 1
+    apply phi -> (Lx + 1) * o - 1                  o = min image order
 
 where ord() is the least word length carrying a nonzero coefficient
 (maxlen + 1 for the zero series).
@@ -38,15 +40,16 @@ from .errors import (
     StructureError,
 )
 from .rings import CoeffRing, RingElem, format_elem
-from .series import PowerSeries, compose as ps_compose, reversion as ps_reversion
-
-INF_LEN = 10 ** 9  # maxlen sentinel: all absent words are really zero
+from .series import (
+    EXACT,
+    PowerSeries,
+    capped,
+    compose as ps_compose,
+    lowered,
+    reversion as ps_reversion,
+)
 
 _ALPHABET = ("T", "t")
-
-
-def _cap(n: int) -> int:
-    return n if n < INF_LEN else INF_LEN
 
 
 class GradingContext:
@@ -103,6 +106,7 @@ class NCSeries:
     __slots__ = ("ring", "grading", "maxlen", "terms")
 
     def __init__(self, ring: CoeffRing, grading: GradingContext, terms: dict, maxlen: int):
+        maxlen = capped(maxlen)
         self.ring = ring
         self.grading = grading
         self.maxlen = maxlen
@@ -130,7 +134,7 @@ class NCSeries:
     def order(self) -> int:
         """Least word length with nonzero coefficient; maxlen+1 if zero."""
         if not self.terms:
-            return _cap(self.maxlen + 1)
+            return capped(self.maxlen + 1)
         return min(len(w) for w in self.terms)
 
     def coeff(self, word: str) -> RingElem:
@@ -202,22 +206,22 @@ class NCSeries:
     __hash__ = None
 
     def __repr__(self):
-        tail = "" if self.maxlen >= INF_LEN else f" + O(len {self.maxlen + 1})"
+        tail = "" if self.maxlen == EXACT else f" + O(len {self.maxlen + 1})"
         return f"<{format_ncseries(self)}{tail} : {self.ring.spec()}>"
 
 
 # -- constructors ---------------------------------------------------------
 
 
-def nc_zero(ring, grading, maxlen=INF_LEN) -> NCSeries:
+def nc_zero(ring, grading, maxlen=EXACT) -> NCSeries:
     return NCSeries(ring, grading, {}, maxlen)
 
 
-def nc_scalar(ring, grading, c, maxlen=INF_LEN) -> NCSeries:
+def nc_scalar(ring, grading, c, maxlen=EXACT) -> NCSeries:
     return NCSeries(ring, grading, {"": c}, maxlen)
 
 
-def nc_word(ring, grading, word, c=1, maxlen=INF_LEN) -> NCSeries:
+def nc_word(ring, grading, word, c=1, maxlen=EXACT) -> NCSeries:
     return NCSeries(ring, grading, {word: c}, maxlen)
 
 
@@ -243,7 +247,7 @@ def nc_to_powers(x: NCSeries) -> PowerSeries:
 def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     """Concatenation product, truncation min(La + ord b, Lb + ord a)."""
     _check_compat(a, b)
-    n = _cap(min(a.maxlen + b.order(), b.maxlen + a.order()))
+    n = capped(min(a.maxlen + b.order(), b.maxlen + a.order()))
     out = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
@@ -321,7 +325,7 @@ def derivation_apply(xi: Derivation, x: NCSeries) -> NCSeries:
     grading = x.grading
     omin = min(xi.onTau.order(), xi.onT.order())
     limg = min(xi.onTau.maxlen, xi.onT.maxlen)
-    n = _cap(min(x.maxlen + omin - 1, x.order() + limg - 1))
+    n = lowered(capped(min(x.maxlen + omin, x.order() + limg)), 1)
     out = {}
     for word, c in x.terms.items():
         ppar = 0  # parity of the prefix consumed so far
@@ -375,17 +379,17 @@ def moore_mstar(algebra) -> Derivation:
         if grading.tpar != 0:
             raise ParityError("even-kind datum needs an even cell degree")
         u = algebra.u
-        on_tau = nc_from_powers(grading, u) + NCSeries(u.ring, grading, square, INF_LEN)
-        on_t = NCSeries(u.ring, grading, {"Tt": 1, "tT": -1}, INF_LEN)
+        on_tau = nc_from_powers(grading, u) + NCSeries(u.ring, grading, square, EXACT)
+        on_t = NCSeries(u.ring, grading, {"Tt": 1, "tT": -1}, EXACT)
     elif algebra.kind == "odd":
         if grading.tpar != 1:
             raise ParityError("odd-kind datum needs an odd cell degree")
         v, w = algebra.v, algebra.w
         if v.ring != w.ring:
             raise IncompatibleRingError("v and w over different rings")
-        on_tau = nc_from_powers(grading, w) + NCSeries(w.ring, grading, square, INF_LEN)
+        on_tau = nc_from_powers(grading, w) + NCSeries(w.ring, grading, square, EXACT)
         on_t = nc_from_powers(grading, v) + NCSeries(
-            v.ring, grading, {"Tt": 1, "tT": 1}, INF_LEN
+            v.ring, grading, {"Tt": 1, "tT": 1}, EXACT
         )
     else:
         raise StructureError(f"unknown algebra kind {algebra.kind!r}")
@@ -460,7 +464,7 @@ def normalized_endo(grading: GradingContext, shift: PowerSeries, sub: PowerSerie
     """Endomorphism T -> T + shift(t), t -> sub(t) from one-variable data."""
     if shift.ring != sub.ring:
         raise IncompatibleRingError("shift and substitution over different rings")
-    tau = nc_word(shift.ring, grading, "T", maxlen=INF_LEN)
+    tau = nc_word(shift.ring, grading, "T", maxlen=EXACT)
     return NCEndo(tau + nc_from_powers(grading, shift), nc_from_powers(grading, sub))
 
 
@@ -468,7 +472,7 @@ def apply_endo(phi: NCEndo, x: NCSeries) -> NCSeries:
     """Substitution homomorphism: replace every letter by its image."""
     _check_compat(phi.imageTau, x)
     omin = min(phi.imageTau.order(), phi.imageT.order())
-    n = _cap((x.maxlen + 1) * omin - 1)
+    n = lowered(capped((x.maxlen + 1) * omin), 1)
     acc = nc_zero(x.ring, x.grading, n)
     one = nc_scalar(x.ring, x.grading, 1)
     for word, c in x.terms.items():

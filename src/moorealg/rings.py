@@ -348,31 +348,6 @@ def _kneg(k):
     return -k
 
 
-# -- free-function aliases for the method API ------------------------------
-
-
-def ring_arith(a: RingElem, b: RingElem, op: str) -> RingElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown ring operation {op!r}")
-
-
-def is_unit(a: RingElem) -> bool:
-    return a.is_unit()
-
-
-def inverse(a: RingElem) -> RingElem:
-    return a.inverse()
-
-
-def valuation(a: RingElem) -> int:
-    return a.valuation()
-
-
 # -- ring-spec strings -----------------------------------------------------
 
 

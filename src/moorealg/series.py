@@ -8,10 +8,18 @@ precision than they have:
 * add:      min(Na, Nb)
 * mul:      min(Na + ord(b), Nb + ord(a))
 * compose:  min((Na+1)*ord(b) - 1, (max(ord(a),1)-1)*ord(b) + Nb)
+* derivative: N - 1 (floored at 0);  shifted(k): N + k
 
 where ord is the first exponent with a nonzero known coefficient (one
 past the truncation for a series that is zero as far as it is known).
-A series with trunc = EXACT is a polynomial known completely.
+
+This module owns the one precision model of the package; the word
+series (truncated by length) and the bar-side cochains (by arity) use
+it too.  A bound equal to EXACT means "known completely": a polynomial
+here, a finite sum of words, or a cochain with no higher components.
+EXACT is a saturating infinity.  capped() and lowered() apply it to a
+computed bound, so EXACT plus anything or minus anything is EXACT, and
+every constructor clamps its bound, so no object holds a bound above it.
 
 Text grammar (round-trips with format_series):
 
@@ -42,7 +50,17 @@ from .errors import (
 )
 from .rings import CoeffRing, RingElem, format_elem, parse_ring
 
-EXACT = 10 ** 9  # trunc sentinel: all absent coefficients are really zero
+EXACT = 10 ** 9  # the bound of an object known completely; see capped/lowered
+
+
+def capped(n: int) -> int:
+    """A computed bound, saturated at EXACT."""
+    return n if n < EXACT else EXACT
+
+
+def lowered(n: int, k: int) -> int:
+    """The bound n lowered by k; EXACT stays EXACT."""
+    return n if n >= EXACT else n - k
 
 
 class PowerSeries:
@@ -51,6 +69,7 @@ class PowerSeries:
     def __init__(self, ring: CoeffRing, coeffs: dict, trunc: int):
         if trunc < 0:
             raise ValueError("truncation must be >= 0")
+        trunc = capped(trunc)
         self.ring = ring
         self.trunc = trunc
         self.coeffs = {}
@@ -101,7 +120,7 @@ class PowerSeries:
         trunc + 1: the tightest lower bound the data justifies.
         """
         if not self.coeffs:
-            return self.trunc + 1
+            return capped(self.trunc + 1)
         return min(self.coeffs)
 
     def degree(self):
@@ -158,15 +177,11 @@ class PowerSeries:
 
     def shifted(self, k: int) -> "PowerSeries":
         """Multiply by t^k (exactly)."""
-        n = self.trunc if self.trunc == EXACT else self.trunc + k
+        n = capped(self.trunc + k)
         return PowerSeries(self.ring, {i + k: c for i, c in self.coeffs.items()}, n)
 
     def map_coeffs(self, f) -> "PowerSeries":
         return PowerSeries(self.ring, {i: f(c) for i, c in self.coeffs.items()}, self.trunc)
-
-
-def ps(ring: CoeffRing, coeffs: dict, trunc: int) -> PowerSeries:
-    return PowerSeries(ring, coeffs, trunc)
 
 
 def ps_zero(ring: CoeffRing, trunc: int) -> PowerSeries:
@@ -177,14 +192,6 @@ def ps_t(ring: CoeffRing, trunc: int) -> PowerSeries:
     return PowerSeries(ring, {1: ring.one()}, trunc)
 
 
-def ps_arith(a: PowerSeries, b: PowerSeries, op: str) -> PowerSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Substitute g into f.  Needs g(0) = 0."""
     f._check(g)
@@ -192,10 +199,10 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
         raise CompositionError("inner series must have zero constant term")
     og = g.order()  # >= 1
     ofu = max(f.order(), 1)
-    n = min((f.trunc + 1) * og - 1, (ofu - 1) * og + g.trunc)
-    n = min(n, EXACT)
-    if f.trunc == EXACT and g.trunc == EXACT:
-        n = EXACT
+    # where an unknown coefficient of f, or of g, first reaches the result
+    from_f = lowered(capped((f.trunc + 1) * og), 1)
+    from_g = lowered(ofu, 1) * og + g.trunc
+    n = capped(min(from_f, from_g))
     out = {}
     if 0 in f.coeffs:
         out[0] = f.coeffs[0]
@@ -240,12 +247,15 @@ def reversion(f: PowerSeries) -> PowerSeries:
         if c:
             g = g - PowerSeries(f.ring, {k: c * inv1}, n)
     if any(i <= n for i in (compose(f, g) - ps_t(f.ring, n)).coeffs):
-        raise InternalError("reversion failed to verify")
+        raise InternalError(
+            f"reversion failed to verify: f = {format_series(f)}, "
+            f"candidate g = {format_series(g)}, truncation {n}"
+        )
     return g
 
 
 def derivative(f: PowerSeries) -> PowerSeries:
-    n = f.trunc if f.trunc == EXACT else max(f.trunc - 1, 0)
+    n = max(lowered(f.trunc, 1), 0)
     out = {}
     for i, c in f.coeffs.items():
         if i >= 1:
@@ -262,7 +272,7 @@ def super_derivative(f: PowerSeries) -> PowerSeries:
     produces when t is an odd letter; the alternating Leibniz signs
     cancel in pairs, leaving one term for odd i and none for even i.
     """
-    n = f.trunc if f.trunc == EXACT else max(f.trunc - 1, 0)
+    n = max(lowered(f.trunc, 1), 0)
     out = {}
     for i, c in f.coeffs.items():
         if i % 2 == 1:
@@ -310,10 +320,8 @@ def is_canonical(f: PowerSeries):
 
 def weierstrass_rank(f: PowerSeries) -> int:
     """Index of the first unit coefficient."""
-    top = f.trunc if f.trunc != EXACT else (f.degree() if f.coeffs else 0)
-    for i in range(0, top + 1):
-        c = f.coeffs.get(i)
-        if c is not None and c.is_unit():
+    for i in sorted(f.coeffs):
+        if f.coeffs[i].is_unit():
             return i
     raise PrecisionError(
         f"no unit coefficient up to truncation {f.trunc}"

@@ -12,13 +12,12 @@ from moorealg.ainfty import (
     GradedBasis,
     dualize,
     dualize_back,
-    h_op,
     hochschild_differential,
     is_normalized,
     normalize_cochain,
 )
 from moorealg.errors import WildCaseError
-from moorealg.hochschild import hh_bruteforce, hh_closed_form, hh_structure
+from moorealg.hochschild import hh_bruteforce, hh_closed_form
 from moorealg.moduli import (
     MooreAlgebra,
     act,
@@ -48,6 +47,7 @@ from moorealg.series import (
 from util import (
     agree_cochain,
     agree_derivation,
+    h_op,
     rand_cochain,
     rand_even_series,
     rand_odd_series,
@@ -227,7 +227,7 @@ def test_criterion_07_golden_family():
             un = PowerSeries(
                 Z56V, {1: Z56V.from_int(5), n: Z56V.vpow(n)}, 12
             )
-            rep = hh_structure(MooreAlgebra.even(un))
+            rep = hh_closed_form(MooreAlgebra.even(un))
             assert rep.rank == n - 1
             assert rep.mod_p_height == n
             assert rep.discrepancy is True

@@ -24,12 +24,10 @@ from moorealg.ainfty import (
     GradedBasis,
     HochschildCochain,
     MultiComponent,
-    bar_homotopy_word,
     coderivation_extend,
     compose_components,
     dualize,
     dualize_back,
-    h_op,
     hochschild_differential,
     is_normalized,
     is_unital,
@@ -41,7 +39,15 @@ from moorealg.ainfty import (
     zero_component,
 )
 
-from util import agree_cochain, agree_derivation, rand_cochain
+from util import (
+    agree_cochain,
+    agree_derivation,
+    bar_homotopy_word,
+    check_bound,
+    ext,
+    h_op,
+    rand_cochain,
+)
 
 Q = CoeffRing("Q")
 F5 = CoeffRing("Fp", 5)
@@ -469,6 +475,39 @@ class TestNormalization:
             c = hochschild_differential(b, m)
             norm, witness = normalize_cochain(c, m)
             assert agree_cochain(norm, c - hochschild_differential(witness, m))
+
+
+class TestPrecisionModel:
+    """Exact inputs give exact results; otherwise the module docstring's formulas."""
+
+    @staticmethod
+    def _rand_bound(rng):
+        return EXACT if rng.random() < 0.5 else rng.randint(0, 5)
+
+    def test_sum_s_op_and_differential(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            nm = self._rand_bound(rng)
+            _, m = even_struct(F5, {1: 1, 3: 2}, trunc=nm)
+            assert m.arity_bound == nm
+            a = rand_cochain(F5, B0, rng, 1, max_arity=3, bound=self._rand_bound(rng))
+            b = rand_cochain(F5, B0, rng, 1, max_arity=3, bound=self._rand_bound(rng))
+            na, nb = ext(a.arity_bound), ext(b.arity_bound)
+            check_bound((a + b).arity_bound, min(na, nb), a.arity_bound, b.arity_bound)
+            check_bound((a - b).arity_bound, min(na, nb), a.arity_bound, b.arity_bound)
+            for i in (0, 1):
+                check_bound(s_op(i, a).arity_bound, max(na - 1, 0), a.arity_bound)
+            check_bound(
+                hochschild_differential(a, m).arity_bound,
+                min(na, ext(nm)),
+                a.arity_bound,
+                nm,
+            )
+
+    def test_constructor_clamps(self):
+        c = HochschildCochain(Q, B0, 1, {}, EXACT + 5)
+        assert c.arity_bound == EXACT
+        assert AInfStructure(Q, B0, {}, EXACT + 5).arity_bound == EXACT
 
 
 def _bar_diff(m, vec):

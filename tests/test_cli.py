@@ -119,6 +119,32 @@ class TestExitCodes:
         assert "--series" in err
 
 
+class TestLeadingMinus:
+    def test_series(self, capsys):
+        code, out, _ = run(
+            ["height", "--ring", "Q", "--series", "-2*t^4", "--trunc", "8"], capsys
+        )
+        assert code == 0 and out.strip() == "height: 4"
+
+    def test_series2(self, capsys):
+        # t -> -t carries t^3 onto -t^3
+        code, out, _ = run(
+            [
+                "equivalent",
+                "--ring",
+                "Q",
+                "--series",
+                "t^3 + t^4",
+                "--series2",
+                "-t^3",
+                "--trunc",
+                "8",
+            ],
+            capsys,
+        )
+        assert code == 0 and out.strip() == "equivalent: yes"
+
+
 class TestDefaultsAndConfig:
     def test_env_default_trunc(self, capsys, monkeypatch):
         monkeypatch.setenv("MOORE_DEFAULT_TRUNC", "6")

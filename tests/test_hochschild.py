@@ -14,7 +14,6 @@ from moorealg.errors import (
 from moorealg.hochschild import (
     hh_bruteforce,
     hh_closed_form,
-    hh_structure,
     weierstrass_factor,
 )
 from moorealg.moduli import MooreAlgebra, act
@@ -27,6 +26,7 @@ F3 = CoeffRing("Fp", 3)
 F5 = CoeffRing("Fp", 5)
 F7 = CoeffRing("Fp", 7)
 F5V = CoeffRing("Fp", 5, laurent=True)
+Z53 = CoeffRing("Zp", 5, 3)
 Z56 = CoeffRing("Zp", 5, 6)
 Z56V = CoeffRing("Zp", 5, 6, laurent=True)
 POLY = CoeffRing("Poly", symbols=("a",))
@@ -85,6 +85,14 @@ class TestWeierstrassFactor:
         w, r = weierstrass_factor(f)
         assert r == 1
         assert w.coeffs == {0: Z56V.el({-1: 7815}), 1: Z56V.one()}
+
+    def test_exact_product(self):
+        # t * (5t + t^2) with both factors exact is exact; a product that
+        # lost its EXACT bound made the reciprocal count towards it
+        f = S(Z53, {1: 1}, EXACT) * S(Z53, {1: 5, 2: 1}, EXACT)
+        w, r = weierstrass_factor(f)
+        assert (w, r) == (S(Z53, {3: 1, 2: 5}, EXACT), 3)
+        assert w.trunc == EXACT
 
     def test_mode_gate(self):
         with pytest.raises(NoUniformizerError):
@@ -169,7 +177,7 @@ class TestStructure:
         # leading slot v^n t^n: computed degree n-1 against height n
         for n in (2, 3, 4):
             M = even(Z56V, {1: 5, n: Z56V.el({n: 1})}, 12)
-            r = hh_structure(M)
+            r = hh_closed_form(M)
             assert r.rank == n - 1
             assert r.mod_p_height == n
             assert r.discrepancy
@@ -178,21 +186,13 @@ class TestStructure:
     def test_golden_eisenstein_degree_two(self):
         # u' = 5 + 3v^3 t^2; 5 * inverse(3) = 5210 mod 5^6
         M = even(Z56V, {1: 5, 3: Z56V.el({3: 1})}, 12)
-        r = hh_structure(M)
+        r = hh_closed_form(M)
         assert r.eisenstein.coeffs == {0: Z56V.el({-3: 5210}), 2: Z56V.one()}
 
     def test_residue_branch(self):
-        r = hh_structure(even(Z56, {1: 5}, 10))
+        r = hh_closed_form(even(Z56, {1: 5}, 10))
         assert r.torsion == "residue-algebra"
         assert not r.discrepancy
-
-    def test_gates(self):
-        with pytest.raises(NoUniformizerError):
-            hh_structure(even(F5, {1: 1}, 8))
-        with pytest.raises(StructureError):
-            hh_structure(even(Z56, {1: 1}, 8))
-        with pytest.raises(StructureError):
-            hh_structure(even(Z56, {1: 25}, 8))
 
 
 class TestBruteforce:

@@ -37,7 +37,16 @@ from moorealg.noncomm import (
     normalized_endo,
 )
 
-from util import agree_derivation, agree_nc, rand_derivation, rand_nc, rand_series
+from util import (
+    agree_derivation,
+    agree_nc,
+    check_bound,
+    ext,
+    from_ext,
+    rand_derivation,
+    rand_nc,
+    rand_series,
+)
 
 Q = CoeffRing("Q")
 F7 = CoeffRing("Fp", 7)
@@ -155,7 +164,7 @@ class TestDerivationApply:
         # just reads off the stored image.
         xi = Derivation(
             nc_word(Q, EVEN, "TT"),
-            NCSeries(Q, EVEN, {"Tt": 1, "tT": -1}, 10 ** 9),
+            NCSeries(Q, EVEN, {"Tt": 1, "tT": -1}, EXACT),
             1,
         )
         assert derivation_apply(xi, nc_word(Q, EVEN, "t")).terms == {
@@ -167,7 +176,7 @@ class TestDerivationApply:
     def test_leibniz_on_a_square(self):
         xi = Derivation(
             nc_word(Q, EVEN, "TT"),
-            NCSeries(Q, EVEN, {"Tt": 1, "tT": -1}, 10 ** 9),
+            NCSeries(Q, EVEN, {"Tt": 1, "tT": -1}, EXACT),
             1,
         )
         out = derivation_apply(xi, nc_word(Q, EVEN, "tt"))
@@ -483,3 +492,72 @@ class TestEndo:
             )
             ok, _ = check_square_zero(conjugate(phi, xi))
             assert ok
+
+
+def _ord(x):
+    return min(len(w) for w in x.terms) if x.terms else ext(x.maxlen) + 1
+
+
+def _rand_bounded(rng, scalar=False):
+    """A random F7 word series, zero about a fifth of the time, EXACT half of the time."""
+    maxlen = EXACT if rng.random() < 0.5 else rng.randint(0, 5)
+    x = rand_nc(F7, ODD, rng, maxlen, nwords=rng.choice((0, 1, 2, 3, 4)))
+    if scalar and rng.random() < 0.3:
+        x = x + nc_scalar(F7, ODD, 3, maxlen)
+    return x
+
+
+class TestPrecisionModel:
+    """Exact inputs give exact results; otherwise the module docstring's formulas."""
+
+    def test_add_and_mul(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            a, b = _rand_bounded(rng, scalar=True), _rand_bounded(rng, scalar=True)
+            la, lb = ext(a.maxlen), ext(b.maxlen)
+            check_bound((a + b).maxlen, min(la, lb), a.maxlen, b.maxlen)
+            check_bound(
+                nc_mul(a, b).maxlen, min(la + _ord(b), lb + _ord(a)), a.maxlen, b.maxlen
+            )
+
+    def test_derivation_apply(self):
+        # images may carry a scalar part: the order-0 case lowers word length
+        rng = random.Random(62)
+        for _ in range(200):
+            on_tau, on_t = _rand_bounded(rng, scalar=True), _rand_bounded(rng, scalar=True)
+            xi = Derivation(on_tau, on_t, 1)
+            x = _rand_bounded(rng)
+            s = min(_ord(on_tau), _ord(on_t)) - 1
+            limg = min(ext(on_tau.maxlen), ext(on_t.maxlen))
+            want = min(ext(x.maxlen) + s, _ord(x) + limg - 1)
+            got = derivation_apply(xi, x).maxlen
+            check_bound(got, want, x.maxlen, on_tau.maxlen, on_t.maxlen)
+
+    def test_apply_endo(self):
+        rng = random.Random(63)
+        for _ in range(100):
+            exact_images = rng.random() < 0.5
+            images = []
+            for _ in range(2):
+                img = _rand_bounded(rng)
+                images.append(
+                    NCSeries(F7, ODD, img.terms, EXACT) if exact_images else img
+                )
+            phi = NCEndo(*images)
+            x = _rand_bounded(rng)
+            o = min(_ord(img) for img in images)
+            want = (ext(x.maxlen) + 1) * o - 1
+            got = apply_endo(phi, x).maxlen
+            if exact_images:
+                check_bound(got, want, x.maxlen)
+            else:
+                # truncated images can only lower the bound further
+                assert got <= from_ext(want)
+        # letters sent to zero exactly: even an input known to length 0 is
+        # mapped onto its scalar part, exactly
+        zero = NCEndo(nc_zero(F7, ODD), nc_zero(F7, ODD))
+        assert apply_endo(zero, nc_scalar(F7, ODD, 2, 0)).maxlen == EXACT
+
+    def test_constructor_clamps(self):
+        assert nc_zero(F7, ODD, EXACT + 5).maxlen == EXACT
+        assert nc_zero(F7, ODD).order() == EXACT

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moorealg.series as series
 from moorealg.errors import (
     CompositionError,
     HeightUndefinedError,
+    InternalError,
     NotInvertibleError,
     ParseError,
     PrecisionError,
 )
 from moorealg.rings import CoeffRing
 from moorealg.series import (
+    EXACT,
     PowerSeries,
     compose,
     derivative,
@@ -24,7 +27,6 @@ from moorealg.series import (
     is_trivial,
     parse_elem,
     parse_series,
-    ps_arith,
     ps_t,
     reversion,
     series_from_json,
@@ -33,11 +35,12 @@ from moorealg.series import (
     weierstrass_rank,
 )
 
-from util import agree, rand_series
+from util import agree, check_bound, ext, rand_series
 
 Q = CoeffRing("Q")
 F5 = CoeffRing("Fp", p=5)
 F7 = CoeffRing("Fp", p=7)
+Z53 = CoeffRing("Zp", p=5, K=3)
 Z56 = CoeffRing("Zp", p=5, K=6)
 Z56V = CoeffRing("Zp", p=5, K=6, laurent=True)
 
@@ -113,6 +116,12 @@ class TestTruncationDiscipline:
         # errors in f enter at (3+1)*2 - 1 = 7; in g at (1-1)*2 + 9 = 9
         assert compose(f, g).trunc == 7
 
+    def test_exact_product_stays_exact(self):
+        t = PowerSeries(Z53, {1: 1}, EXACT)
+        g = parse_series(Z53, "5*t + t^2", EXACT)
+        assert (t * g).trunc == EXACT
+        assert repr(t * g) == "<5*t^2 + t^3 + O(t^EXACT) : Zp:5:3>"
+
     def test_compose_needs_zero_constant(self):
         with pytest.raises(CompositionError):
             compose(qs("t"), qs("1 + t"))
@@ -122,7 +131,73 @@ class TestTruncationDiscipline:
             qs("t", 3).coeff(4)
 
 
+def _ord(f):
+    return min(f.coeffs) if f.coeffs else ext(f.trunc) + 1
+
+
+def _times(a, b):
+    # a factor 0 means the term never appears, even against infinity
+    return 0 if 0 in (a, b) else a * b
+
+
+def _rand_bounded(rng, ord_min):
+    """A random F7 series, zero about a third of the time, EXACT half of the time."""
+    f = rand_series(F7, rng, rng.randint(0, 6), ord_min, density=rng.choice((0, 0.5, 0.9)))
+    return PowerSeries(F7, f.coeffs, EXACT) if rng.random() < 0.5 else f
+
+
+class TestPrecisionModel:
+    """Exact inputs give exact results; otherwise the module docstring's formulas."""
+
+    def test_add_and_mul(self):
+        rng = random.Random(51)
+        for _ in range(200):
+            a, b = _rand_bounded(rng, 0), _rand_bounded(rng, 0)
+            na, nb = ext(a.trunc), ext(b.trunc)
+            check_bound((a + b).trunc, min(na, nb), a.trunc, b.trunc)
+            check_bound(
+                (a * b).trunc, min(na + _ord(b), nb + _ord(a)), a.trunc, b.trunc
+            )
+
+    def test_compose(self):
+        rng = random.Random(52)
+        for _ in range(200):
+            f, g = _rand_bounded(rng, 0), _rand_bounded(rng, 1)
+            og = _ord(g)
+            want = min(
+                (ext(f.trunc) + 1) * og - 1,
+                _times(max(_ord(f), 1) - 1, og) + ext(g.trunc),
+            )
+            check_bound(compose(f, g).trunc, want, f.trunc, g.trunc)
+
+    def test_derivative_and_shift(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            f = _rand_bounded(rng, 0)
+            n = ext(f.trunc)
+            check_bound(derivative(f).trunc, max(n - 1, 0), f.trunc)
+            check_bound(super_derivative(f).trunc, max(n - 1, 0), f.trunc)
+            k = rng.randint(0, 3)
+            check_bound(f.shifted(k).trunc, n + k, f.trunc)
+
+    def test_constructor_clamps(self):
+        assert PowerSeries(F7, {1: 1}, EXACT + 5).trunc == EXACT
+        assert PowerSeries(F7, {}, EXACT).order() == EXACT
+
+
 class TestReversion:
+    def test_failed_check_names_the_series(self, monkeypatch):
+        real = series.compose
+
+        def off_by_a_constant(f, g):
+            out = real(f, g)
+            return out + PowerSeries(out.ring, {0: 1}, out.trunc)
+
+        monkeypatch.setattr(series, "compose", off_by_a_constant)
+        with pytest.raises(InternalError) as ei:
+            reversion(qs("t + t^2", 4))
+        assert "f = t + t^2" in str(ei.value)
+
     def test_linear_unit_required(self):
         with pytest.raises(NotInvertibleError):
             reversion(qs("t^2"))
@@ -183,10 +258,10 @@ class TestAlgebraProperties:
             rhs = compose(derivative(f), g) * derivative(g)
             assert agree(lhs, rhs)
 
-    def test_ps_arith_dispatch(self):
+    def test_add_and_mul_operators(self):
         a, b = qs("t"), qs("t^2")
-        assert ps_arith(a, b, "add") == qs("t + t^2")
-        prod = ps_arith(a, b, "mul")
+        assert a + b == qs("t + t^2")
+        prod = a * b
         # product picks up slack from each factor's order: min(8+2, 8+1) = 9
         assert prod.trunc == 9
         assert prod == PowerSeries(Q, {3: Q.one()}, 9)

@@ -1,11 +1,34 @@
 """Shared helpers for the test suite: seeded random data and comparisons."""
 
+import math
 from fractions import Fraction
 
-from moorealg.ainfty import HochschildCochain, MultiComponent
+from moorealg.ainfty import (
+    HochschildCochain,
+    MultiComponent,
+    hochschild_differential,
+    s_op,
+)
 from moorealg.noncomm import Derivation, GradingContext, NCSeries
 from moorealg.rings import CoeffRing
-from moorealg.series import PowerSeries
+from moorealg.series import EXACT, PowerSeries
+
+
+def ext(bound):
+    """A truncation bound as an extended integer: EXACT is infinity."""
+    return math.inf if bound == EXACT else bound
+
+
+def from_ext(x):
+    """Inverse of ext: infinity is EXACT."""
+    return EXACT if x == math.inf else x
+
+
+def check_bound(got, expected, *input_bounds):
+    """got must be EXACT for exact inputs and match the extended-integer formula."""
+    if all(b == EXACT for b in input_bounds):
+        assert got == EXACT
+    assert got == from_ext(expected)
 
 
 def agree(a: PowerSeries, b: PowerSeries, upto=None) -> bool:
@@ -165,3 +188,18 @@ def rand_cochain(ring, basis, rng, degree, max_arity=3, bound=None, min_slot=0):
     if bound is None:
         bound = max_arity + 2
     return HochschildCochain(ring, basis, degree, comps, bound)
+
+
+def h_op(i, c, m):
+    """One normalization step: c - d(s_i c) - s_i(d c)."""
+    return c - hochschild_differential(s_op(i, c), m) - s_op(i, hochschild_differential(c, m))
+
+
+def bar_homotopy_word(ring, basis, word) -> dict:
+    """Prepend the unit: the contracting homotopy of the bar complex.
+
+    With the sign conventions of moorealg.ainfty the plus sign makes
+    d(s(w)) + s(d(w)) = w on nonempty words over a unital structure; the
+    empty word spans the part the homotopy does not see.
+    """
+    return {(basis.UNIT,) + tuple(word): ring.one()}
