@@ -14,7 +14,9 @@ a structure or cochain with arity_bound N promises exact components
 through arity N and says nothing beyond, and arity_bound = EXACT marks
 an object whose higher components are genuinely zero.  EXACT saturates:
 
-    sum, differential  -> min(Na, Nb)
+    sum                -> min(Na, Nb)
+    differential       -> min(Nc, Nm), or min(Nc, Nm - 1) if the cochain
+                          has an arity-0 component
     s_op               -> N - 1 (floored at 0)
 
 Dualization identifies the two-cell bar structures with the letter
@@ -447,10 +449,17 @@ def _big_compose(outer_comps, inner_comps, ring, basis, bound):
 
 
 def hochschild_differential(c: HochschildCochain, m: AInfStructure) -> HochschildCochain:
-    """The commutator with the structure: c.m - (-1)^|c| m.c."""
+    """The commutator with the structure: c.m - (-1)^|c| m.c.
+
+    Known through arity min(Nc, Nm), or min(Nc, Nm - 1) when c has an
+    arity-0 component: m_(n+1) composed with c_0 lands in arity n.  (A
+    structure has no arity-0 component, so c's bound never drops.)  A
+    bound of -1 means no arity is known.
+    """
     if c.ring != m.ring or c.basis != m.basis:
         raise IncompatibleRingError("cochain and structure over different bases")
-    bound = min(c.arity_bound, m.arity_bound)
+    nm = lowered(m.arity_bound, 1) if 0 in c.components else m.arity_bound
+    bound = min(c.arity_bound, nm)
     first = _big_compose(c.components, m.components, c.ring, c.basis, bound)
     second = _big_compose(m.components, c.components, c.ring, c.basis, bound)
     sign = -1 if c.degree % 2 else 1

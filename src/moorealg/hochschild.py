@@ -26,13 +26,20 @@ from .errors import (
     FieldRequiredError,
     InternalError,
     NoUniformizerError,
-    NotInvertibleError,
     PrecisionError,
     StructureError,
     ZeroDivisorError,
 )
 from .rings import CoeffRing
-from .series import EXACT, PowerSeries, derivative, format_series, lowered, weierstrass_rank
+from .series import (
+    EXACT,
+    PowerSeries,
+    derivative,
+    format_series,
+    lowered,
+    reciprocal,
+    weierstrass_rank,
+)
 
 __all__ = [
     "HHReport",
@@ -89,31 +96,6 @@ class HHReport:
         }
 
 
-def _series_inverse(f: PowerSeries) -> PowerSeries:
-    # reciprocal 1/f by coefficient recursion; needs a unit constant term
-    a0 = f.coeffs.get(0)
-    if a0 is None or not a0.is_unit():
-        raise NotInvertibleError("reciprocal needs a unit constant term")
-    if f.trunc == EXACT and f.coeffs.keys() != {0}:
-        raise PrecisionError("reciprocal of an exact series is infinite; truncate")
-    b0 = a0.inverse()
-    out = {0: b0}
-    top = 0 if f.trunc == EXACT else f.trunc
-    for i in range(1, top + 1):
-        s = None
-        for j in range(1, i + 1):
-            aj = f.coeffs.get(j)
-            bij = out.get(i - j)
-            if aj is None or bij is None:
-                continue
-            s = aj * bij if s is None else s + aj * bij
-        if s is not None:
-            c = -(b0 * s)
-            if c:
-                out[i] = c
-    return PowerSeries(f.ring, out, f.trunc)
-
-
 def weierstrass_factor(f: PowerSeries):
     """Monic factor (t^r + lower, lower coefficients in (p)) of f.
 
@@ -139,7 +121,7 @@ def weierstrass_factor(f: PowerSeries):
     fhigh = PowerSeries(
         ring, {i - r: c for i, c in f.coeffs.items() if i >= r}, htr
     )
-    fhinv = _series_inverse(fhigh)
+    fhinv = reciprocal(fhigh)
     cur = PowerSeries(ring, {r: ring.one()}, htr + r)
     rho: dict = {}
     minus_one = ring.from_int(-1)

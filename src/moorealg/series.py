@@ -229,8 +229,63 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     return PowerSeries(f.ring, out, n)
 
 
+def reciprocal(f: PowerSeries) -> PowerSeries:
+    """Multiplicative inverse 1/f, to f's truncation; needs a unit constant term.
+
+    Solved coefficient by coefficient from f * (1/f) = 1, so it divides
+    only by the constant term.  The reciprocal of an exact series is
+    infinite unless the series is a constant, so an exact input of
+    positive degree raises PrecisionError; an exact constant gives an
+    exact constant.
+    """
+    a0 = f.coeffs.get(0)
+    if a0 is None or not a0.is_unit():
+        raise NotInvertibleError("reciprocal needs a unit constant term")
+    if f.trunc == EXACT and f.coeffs.keys() != {0}:
+        raise PrecisionError("reciprocal of an exact series is infinite; truncate")
+    b0 = a0.inverse()
+    out = {0: b0}
+    top = 0 if f.trunc == EXACT else f.trunc
+    for i in range(1, top + 1):
+        s = None
+        for j in range(1, i + 1):
+            aj = f.coeffs.get(j)
+            bij = out.get(i - j)
+            if aj is None or bij is None:
+                continue
+            s = aj * bij if s is None else s + aj * bij
+        if s is not None:
+            c = -(b0 * s)
+            if c:
+                out[i] = c
+    return PowerSeries(f.ring, out, f.trunc)
+
+
 def reversion(f: PowerSeries) -> PowerSeries:
-    """Compositional inverse of a unit-linear series."""
+    """Compositional inverse g of a unit-linear series: f(g) = t through t^n.
+
+    Newton iteration (Brent & Kung, J. ACM 25, 1978).  g = t/f_1 is
+    right through t^1.  If g is right through t^m, the error
+    e = f(g) - t has order >= m + 1, and
+
+        g - e / f'(g)
+
+    is right through t^(2m+1), since the neglected term is of order
+    e^2.  Each step takes m to M = min(2m, n); doubling rather than
+    2m + 1 keeps the bounds at powers of two, so n = 16 composes at 2, 4,
+    8, 16 rather than at 3, 7, 15, 16.  The step needs f(g) - t to
+    bound M, so it composes f truncated to M with g at bound M; and,
+    because e / f'(g) only matters from t^(m+1) on, it needs f'(g) and
+    its reciprocal only to bound M - m - 1.  The step writes the
+    coefficients m+1..M of g and leaves the known ones as they are.
+    Nothing is divided by an integer, only by the unit f_1 (the
+    constant term of f'(g)), so this works over every ring in which f_1
+    is a unit.
+
+    Cost: about log2(n) steps at doubling bounds, the last at n, each
+    composing at M and at about M/2; then one composition at n that
+    checks f(g) = t.
+    """
     if 0 in f.coeffs:
         raise NotInvertibleError("series has a constant term")
     f1 = f.coeffs.get(1)
@@ -239,14 +294,23 @@ def reversion(f: PowerSeries) -> PowerSeries:
     n = f.trunc
     if n == EXACT:
         raise PrecisionError("reversion needs a finite truncation")
-    inv1 = f1.inverse()
-    g = PowerSeries(f.ring, {1: inv1}, n)
-    for k in range(2, n + 1):
-        err = compose(f, g) - ps_t(f.ring, n)
-        c = err.coeffs.get(k)
-        if c:
-            g = g - PowerSeries(f.ring, {k: c * inv1}, n)
-    if any(i <= n for i in (compose(f, g) - ps_t(f.ring, n)).coeffs):
+    ring = f.ring
+    df = derivative(f)
+    coeffs = {1: f1.inverse()}
+    m = 1
+    while m < n:
+        M = min(2 * m, n)
+        g = PowerSeries(ring, coeffs, M)
+        err = compose(f.truncated(M), g) - ps_t(ring, M)
+        b = M - m - 1
+        step = err * reciprocal(compose(df.truncated(b), g.truncated(b)))
+        for i in range(m + 1, M + 1):
+            c = step.coeffs.get(i)
+            if c is not None:
+                coeffs[i] = -c
+        m = M
+    g = PowerSeries(ring, coeffs, n)
+    if any(i <= n for i in (compose(f, g) - ps_t(ring, n)).coeffs):
         raise InternalError(
             f"reversion failed to verify: f = {format_series(f)}, "
             f"candidate g = {format_series(g)}, truncation {n}"

@@ -374,6 +374,19 @@ class TestDifferential:
         assert dc.component(0).table == {(): {"x": Q.one()}}
         assert sorted(dc.components) == [0]
 
+    def test_arity_zero_cochain_lowers_the_structure_bound(self):
+        # m_(n+1) composed with c_0 lands in arity n, so a structure known
+        # through arity 3 gives the differential through arity 2 only
+        c0 = MultiComponent(F5, B0, 0, 0, {(): {"y": 1}})
+        c = HochschildCochain(F5, B0, 0, {0: c0}, 6)
+        u = {1: 1, 3: 2, 4: 1}
+        short = hochschild_differential(c, even_struct(F5, u, trunc=3)[1])
+        full = hochschild_differential(c, even_struct(F5, u, trunc=8)[1])
+        assert short.arity_bound == 2
+        assert full.arity_bound == 6
+        assert full.component(3).table == {("y", "y", "y"): {"1": F5.one()}}
+        assert agree_cochain(short, full)
+
     def test_differential_squares_to_zero(self):
         rng = random.Random(11)
         basis, m = exterior_structure(Q)
@@ -497,9 +510,11 @@ class TestPrecisionModel:
             check_bound((a - b).arity_bound, min(na, nb), a.arity_bound, b.arity_bound)
             for i in (0, 1):
                 check_bound(s_op(i, a).arity_bound, max(na - 1, 0), a.arity_bound)
+            # an arity-0 component of the cochain composes into m one arity up
+            nm_used = ext(nm) - 1 if 0 in a.components else ext(nm)
             check_bound(
                 hochschild_differential(a, m).arity_bound,
-                min(na, ext(nm)),
+                min(na, nm_used),
                 a.arity_bound,
                 nm,
             )

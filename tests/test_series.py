@@ -28,6 +28,7 @@ from moorealg.series import (
     parse_elem,
     parse_series,
     ps_t,
+    reciprocal,
     reversion,
     series_from_json,
     series_to_json,
@@ -35,7 +36,14 @@ from moorealg.series import (
     weierstrass_rank,
 )
 
-from util import agree, check_bound, ext, rand_series
+from util import (
+    agree,
+    check_bound,
+    ext,
+    rand_series,
+    rand_unit,
+    reversion_by_coefficients,
+)
 
 Q = CoeffRing("Q")
 F5 = CoeffRing("Fp", p=5)
@@ -43,6 +51,9 @@ F7 = CoeffRing("Fp", p=7)
 Z53 = CoeffRing("Zp", p=5, K=3)
 Z56 = CoeffRing("Zp", p=5, K=6)
 Z56V = CoeffRing("Zp", p=5, K=6, laurent=True)
+F11 = CoeffRing("Fp", p=11)
+Z34V = CoeffRing("Zp", p=3, K=4, laurent=True)
+F5V = CoeffRing("Fp", p=5, laurent=True)
 
 
 def qs(text, trunc=8):
@@ -212,6 +223,65 @@ class TestReversion:
                 g = reversion(f)
                 assert agree(compose(f, g), ps_t(ring, 9))
                 assert agree(compose(g, f), ps_t(ring, 9))
+
+    def test_matches_coefficient_by_coefficient_oracle(self):
+        rng = random.Random(41)
+        for ring in (Q, F7, F11, Z56, Z34V, F5V):
+            for n in (1, 2, 3, 5, 8, 12, 16, 24):
+                corpus = (
+                    rand_series(ring, rng, n, unit_linear=True, density=0.2),
+                    rand_series(ring, rng, n, unit_linear=True, density=1.0),
+                    PowerSeries(ring, {1: rand_unit(ring, rng)}, n),
+                )
+                for f in corpus:
+                    got, want = reversion(f), reversion_by_coefficients(f)
+                    assert got.trunc == want.trunc == n
+                    assert got.coeffs == want.coeffs, format_series(f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            parse_series(Q, "1 + t + t^2", 5),
+            parse_series(Q, "t^2 + t^3", 5),
+            parse_series(Q, "t + t^2", 0),
+            parse_series(Z56, "5*t + t^2", 6),
+            parse_series(F5V, "(1 + v)*t + t^3", 6),
+            parse_series(Z34V, "3*v*t + t^2", 6),
+            parse_series(Q, "t + t^2", EXACT),
+            parse_series(F7, "3*t", EXACT),
+        ],
+    )
+    def test_bad_inputs_raise_as_the_oracle_does(self, f):
+        with pytest.raises(Exception) as want:
+            reversion_by_coefficients(f)
+        with pytest.raises(Exception) as got:
+            reversion(f)
+        assert type(got.value) is type(want.value)
+
+
+class TestReciprocal:
+    def test_inverts_to_the_truncation(self):
+        rng = random.Random(13)
+        for ring in (Z56, Z34V):
+            for n in (0, 1, 4, 9):
+                for _ in range(4):
+                    f = rand_series(ring, rng, n)
+                    f = f + PowerSeries(ring, {0: rand_unit(ring, rng)}, EXACT)
+                    inv = reciprocal(f)
+                    assert inv.trunc == n
+                    assert f * inv == PowerSeries(ring, {0: ring.one()}, n)
+
+    def test_exact_inputs(self):
+        with pytest.raises(PrecisionError):
+            reciprocal(parse_series(Q, "2 + t", EXACT))
+        inv = reciprocal(parse_series(Z56, "2", EXACT))
+        assert inv == PowerSeries(Z56, {0: Z56.from_int(2).inverse()}, EXACT)
+
+    def test_non_unit_constant_term(self):
+        with pytest.raises(NotInvertibleError):
+            reciprocal(parse_series(Z56, "5 + t", 4))
+        with pytest.raises(NotInvertibleError):
+            reciprocal(parse_series(Q, "t", 4))
 
 
 class TestHeight:

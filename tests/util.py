@@ -9,9 +9,10 @@ from moorealg.ainfty import (
     hochschild_differential,
     s_op,
 )
+from moorealg.errors import InternalError, NotInvertibleError, PrecisionError
 from moorealg.noncomm import Derivation, GradingContext, NCSeries
 from moorealg.rings import CoeffRing
-from moorealg.series import EXACT, PowerSeries
+from moorealg.series import EXACT, PowerSeries, compose, ps_t
 
 
 def ext(bound):
@@ -203,3 +204,30 @@ def bar_homotopy_word(ring, basis, word) -> dict:
     empty word spans the part the homotopy does not see.
     """
     return {(basis.UNIT,) + tuple(word): ring.one()}
+
+
+def reversion_by_coefficients(f: PowerSeries) -> PowerSeries:
+    """Compositional inverse, one full composition per coefficient.
+
+    The reference for moorealg.series.reversion: the k-th coefficient of
+    f(g) - t is f_1 times the error in g_k, so each pass corrects one
+    coefficient.  O(n) compositions; same checks and exceptions.
+    """
+    if 0 in f.coeffs:
+        raise NotInvertibleError("series has a constant term")
+    f1 = f.coeffs.get(1)
+    if f1 is None or not f1.is_unit():
+        raise NotInvertibleError("linear coefficient is not a unit")
+    n = f.trunc
+    if n == EXACT:
+        raise PrecisionError("reversion needs a finite truncation")
+    inv1 = f1.inverse()
+    g = PowerSeries(f.ring, {1: inv1}, n)
+    for k in range(2, n + 1):
+        err = compose(f, g) - ps_t(f.ring, n)
+        c = err.coeffs.get(k)
+        if c:
+            g = g - PowerSeries(f.ring, {k: c * inv1}, n)
+    if any(i <= n for i in (compose(f, g) - ps_t(f.ring, n)).coeffs):
+        raise InternalError(f"reversion failed to verify at truncation {n}")
+    return g
