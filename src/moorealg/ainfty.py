@@ -17,7 +17,7 @@ an object whose higher components are genuinely zero.  EXACT saturates:
     sum                -> min(Na, Nb)
     differential       -> min(Nc, Nm), or min(Nc, Nm - 1) if the cochain
                           has an arity-0 component
-    s_op               -> N - 1 (floored at 0)
+    s_op               -> N - 1 (-1: nothing is known)
 
 Dualization identifies the two-cell bar structures with the letter
 derivations of the word algebra: the suspension letter pairs with the
@@ -520,8 +520,8 @@ def s_op(i: int, c: HochschildCochain) -> HochschildCochain:
             key = k - 1
             prev = out.get(key)
             out[key] = comp_out if prev is None else prev + comp_out
-    bound = max(lowered(c.arity_bound, 1), 0)
-    return HochschildCochain(c.ring, basis, c.degree + 1, out, bound)
+    # arity k - 1 is read from arity k: a bound of -1 means nothing is known
+    return HochschildCochain(c.ring, basis, c.degree + 1, out, lowered(c.arity_bound, 1))
 
 
 def normalize_cochain(c: HochschildCochain, m: AInfStructure):

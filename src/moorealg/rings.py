@@ -16,6 +16,12 @@ Supported modes:
 Elements are sparse maps monomial-key -> base scalar.  Base scalars are
 Fraction for Q and the polynomial mode, canonical residues for F_p and
 Z/p^K.  The arithmetic never touches floating point.
+
+There is one CoeffRing object per ring: the constructor returns the
+instance already made for equal arguments, so two rings are equal
+exactly when they are the same object and every ring check is an
+identity test.  Copies and unpickled rings go back through the
+constructor and come out as that same object.
 """
 
 from __future__ import annotations
@@ -60,9 +66,21 @@ class CoeffRing:
     always over Q without v.
     """
 
-    __slots__ = ("mode", "p", "K", "laurent", "symbols")
+    __slots__ = ("mode", "p", "K", "laurent", "symbols", "modulus")
 
-    def __init__(self, mode, p=None, K=None, laurent=False, symbols=()):
+    _interned = {}  # normalized arguments -> the one ring they name
+
+    def __new__(cls, mode, p=None, K=None, laurent=False, symbols=()):
+        key = (
+            mode,
+            p,
+            K if mode == "Zp" else None,
+            bool(laurent),
+            tuple(symbols) if mode == "Poly" else (),
+        )
+        ring = cls._interned.get(key)
+        if ring is not None:
+            return ring
         if mode not in ("Q", "Fp", "Zp", "Poly"):
             raise ValueError(f"unknown ring mode {mode!r}")
         if mode in ("Fp", "Zp"):
@@ -73,25 +91,25 @@ class CoeffRing:
         if mode == "Poly":
             if laurent:
                 raise ValueError("polynomial mode has no Laurent variable")
-            symbols = tuple(symbols)
-            if not symbols or len(set(symbols)) != len(symbols):
+            if not key[4] or len(set(key[4])) != len(key[4]):
                 raise ValueError("polynomial mode needs distinct symbols")
-        self.mode = mode
-        self.p = p
-        self.K = K if mode == "Zp" else None
-        self.laurent = bool(laurent)
-        self.symbols = tuple(symbols) if mode == "Poly" else ()
+        ring = object.__new__(cls)
+        ring.mode, ring.p, ring.K, ring.laurent, ring.symbols = key
+        ring.modulus = p if mode == "Fp" else p**K if mode == "Zp" else None
+        return cls._interned.setdefault(key, ring)
+
+    def __reduce__(self):
+        return (CoeffRing, (self.mode, self.p, self.K, self.laurent, self.symbols))
 
     # -- identity ---------------------------------------------------------
 
-    def _key(self):
-        return (self.mode, self.p, self.K, self.laurent, self.symbols)
-
+    # one object per ring, so equality is identity; spelled out although
+    # object's default is the same, since the benchmark's tracer counts
+    # ring checks by wrapping this method
     def __eq__(self, other):
-        return isinstance(other, CoeffRing) and self._key() == other._key()
+        return self is other
 
-    def __hash__(self):
-        return hash(self._key())
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return f"CoeffRing({self.spec()})"
@@ -106,14 +124,6 @@ class CoeffRing:
         else:
             base = "Poly(" + ",".join(self.symbols) + ")"
         return base + ("[v]" if self.laurent else "")
-
-    @property
-    def modulus(self):
-        if self.mode == "Fp":
-            return self.p
-        if self.mode == "Zp":
-            return self.p ** self.K
-        return None
 
     @property
     def is_field(self) -> bool:

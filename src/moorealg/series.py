@@ -193,7 +193,15 @@ def ps_t(ring: CoeffRing, trunc: int) -> PowerSeries:
 
 
 def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Substitute g into f.  Needs g(0) = 0."""
+    """Substitute g into f.  Needs g(0) = 0.
+
+    The running power g^k is kept as a plain {exponent: coefficient}
+    dict over g's coefficients up to the result bound, and each row of a
+    product stops at that bound; no intermediate series is built.  A
+    coefficient equal to one is used as is, never multiplied by, so an
+    elementary substitution t + c*t^s costs one multiplication per
+    binomial term of each power: O(N^2) for the whole composition.
+    """
     f._check(g)
     if 0 in g.coeffs:
         raise CompositionError("inner series must have zero constant term")
@@ -206,26 +214,33 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     out = {}
     if 0 in f.coeffs:
         out[0] = f.coeffs[0]
-    # running power of g, truncated to the result bound
-    cap = n
-    gp = g.truncated(cap) if cap < g.trunc else g
-    top = f.degree()
-    if top is not None:
-        k = 1
-        power = gp
-        while k <= top and power.order() <= cap:
-            c = f.coeffs.get(k)
-            if c is not None:
-                for i, a in power.coeffs.items():
-                    if i > cap:
-                        continue
-                    s = out.get(i)
-                    p = a * c
-                    out[i] = p if s is None else s + p
-            k += 1
-            if k <= top:
-                power = power * gp
-                power = power.truncated(cap)
+    top = f.degree() or 0  # None for f = 0
+    one = f.ring.one().terms
+    # g's coefficients up to the bound, each flagged if it is one
+    row = [(j, b, b.terms == one) for j, b in sorted(g.coeffs.items()) if j <= n]
+    power = {j: b for j, b, _ in row}  # g^k up to the bound
+    k = 1
+    while power and k <= top:
+        c = f.coeffs.get(k)
+        if c is not None:
+            c_one = c.terms == one
+            for i, a in power.items():
+                p = a if c_one else a * c
+                s = out.get(i)
+                out[i] = p if s is None else s + p
+        k += 1
+        if k > top:
+            break
+        nxt = {}
+        for i, a in power.items():
+            for j, b, b_one in row:
+                e = i + j
+                if e > n:
+                    break
+                p = a if b_one else a * b
+                s = nxt.get(e)
+                nxt[e] = p if s is None else s + p
+        power = {e: a for e, a in nxt.items() if a}
     return PowerSeries(f.ring, out, n)
 
 

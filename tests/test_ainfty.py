@@ -509,7 +509,7 @@ class TestPrecisionModel:
             check_bound((a + b).arity_bound, min(na, nb), a.arity_bound, b.arity_bound)
             check_bound((a - b).arity_bound, min(na, nb), a.arity_bound, b.arity_bound)
             for i in (0, 1):
-                check_bound(s_op(i, a).arity_bound, max(na - 1, 0), a.arity_bound)
+                check_bound(s_op(i, a).arity_bound, na - 1, a.arity_bound)
             # an arity-0 component of the cochain composes into m one arity up
             nm_used = ext(nm) - 1 if 0 in a.components else ext(nm)
             check_bound(
@@ -518,6 +518,17 @@ class TestPrecisionModel:
                 a.arity_bound,
                 nm,
             )
+
+    def test_s_op_of_a_cochain_known_through_arity_zero(self):
+        # s_op reads arity k - 1 from arity k: from arity 1 it knows
+        # arity 0, and from arity 0 alone it knows nothing
+        comp = MultiComponent(Q, B0, 1, 0, {("1",): {"y": 1}})
+        known = s_op(0, HochschildCochain(Q, B0, 0, {1: comp}, 1))
+        assert known.arity_bound == 0
+        assert known.component(0) == MultiComponent(Q, B0, 0, 1, {(): {"y": -1}})
+        blind = s_op(0, HochschildCochain(Q, B0, 0, {1: comp}, 0))
+        assert blind.arity_bound == -1
+        assert blind.is_zero()
 
     def test_constructor_clamps(self):
         c = HochschildCochain(Q, B0, 1, {}, EXACT + 5)

@@ -1,5 +1,7 @@
 """Coefficient ring arithmetic: pinned values and algebraic properties."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,70 @@ class TestPolynomialMode:
         assert P.from_int(3).is_unit()
         assert P.from_int(3).inverse() == P.el({(0,): Fraction(1, 3)})
         assert not P.sym("a").is_unit()
+
+
+class TestInterning:
+    def test_equal_arguments_give_one_object(self):
+        assert CoeffRing("Zp", 5, 6) is parse_ring("Zp:5:6") is Z56
+        assert CoeffRing("Fp", p=5, laurent=True) is parse_ring("F5[v]")
+        assert CoeffRing("Poly", symbols=["a", "b"]) is CoeffRing("Poly", symbols=("a", "b"))
+        assert CoeffRing("Poly", symbols=("a", "b")) is not CoeffRing("Poly", symbols=("b", "a"))
+        # K means nothing outside Zp mode, as before interning
+        assert CoeffRing("Fp", 5, 3) is F5
+        assert Z53 is not Z56 and Z56 is not Z56V
+
+    def test_identity_equality(self):
+        assert Z56 == CoeffRing("Zp", p=5, K=6)
+        assert Z56 != Z53
+        assert Q != "Q"
+        assert len({Q, CoeffRing("Q"), parse_ring("Q")}) == 1
+
+    @pytest.mark.parametrize(
+        "ring", [Q, QV, F5, Z56, Z56V, CoeffRing("Poly", symbols=("a", "b"))]
+    )
+    def test_copies_are_the_same_object(self, ring):
+        assert copy.copy(ring) is ring
+        assert copy.deepcopy(ring) is ring
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        x = ring.one()
+        assert copy.deepcopy(x).ring is ring
+        assert pickle.loads(pickle.dumps(x)) == x
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("R",),
+            ("Fp", 4),
+            ("Zp", 6, 2),
+            ("Zp", 5, 0),
+            ("Zp", 5, None),
+            ("Poly", None, None, True, ("a",)),
+            ("Poly", None, None, False, ()),
+            ("Poly", None, None, False, ("a", "a")),
+        ],
+    )
+    def test_invalid_rings_raise_every_time_and_stay_out(self, args):
+        before = dict(CoeffRing._interned)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                CoeffRing(*args)
+        assert CoeffRing._interned == before
+
+    def test_modulus(self):
+        assert Z56.modulus == 5**6
+        assert Z56V.modulus == 5**6
+        assert F7.modulus == 7
+        assert Q.modulus is None
+        assert QV.modulus is None
+        assert CoeffRing("Poly", symbols=("a",)).modulus is None
+
+    def test_mixed_rings_still_rejected(self):
+        with pytest.raises(IncompatibleRingError):
+            Z56.one() * Z53.one()
+        with pytest.raises(IncompatibleRingError):
+            Z56.one() + Z56V.one()
+        with pytest.raises(IncompatibleRingError):
+            Z56.residue(Z53.one())
 
 
 class TestRingSpecs:

@@ -39,7 +39,9 @@ from moorealg.series import (
 from util import (
     agree,
     check_bound,
+    compose_by_powers,
     ext,
+    rand_elem,
     rand_series,
     rand_unit,
     reversion_by_coefficients,
@@ -54,6 +56,7 @@ Z56V = CoeffRing("Zp", p=5, K=6, laurent=True)
 F11 = CoeffRing("Fp", p=11)
 Z34V = CoeffRing("Zp", p=3, K=4, laurent=True)
 F5V = CoeffRing("Fp", p=5, laurent=True)
+QV = CoeffRing("Q", laurent=True)
 
 
 def qs(text, trunc=8):
@@ -256,6 +259,70 @@ class TestReversion:
             reversion_by_coefficients(f)
         with pytest.raises(Exception) as got:
             reversion(f)
+        assert type(got.value) is type(want.value)
+
+
+class TestComposeOracle:
+    """compose against the power-by-power oracle in tests/util.py."""
+
+    @staticmethod
+    def _substitutions(ring, rng, n):
+        one = ring.one()
+        s = rng.randint(2, max(2, n))
+        return (
+            PowerSeries(ring, {1: one, s: rand_elem(ring, rng, nonzero=True)}, n),
+            PowerSeries(ring, {1: one, s: rand_elem(ring, rng)}, EXACT),
+            rand_series(ring, rng, n, density=1.0),
+            rand_series(ring, rng, n, unit_linear=True, density=1.0),
+            PowerSeries(ring, {1: one, 2: one, 3: rand_elem(ring, rng), 5: one}, n),
+            PowerSeries(ring, {2: one, 3: one, 4: rand_elem(ring, rng)}, EXACT),
+            rand_series(ring, rng, n, ord_min=max(1, n - 1)),
+            PowerSeries(ring, {}, n),
+        )
+
+    @staticmethod
+    def _outers(ring, rng, n):
+        return (
+            rand_series(ring, rng, n, ord_min=0, density=1.0),
+            rand_series(ring, rng, n, ord_min=1, density=0.5),
+            rand_series(ring, rng, n, ord_min=2, density=0.7),
+            PowerSeries(ring, {0: ring.one(), 2: rand_elem(ring, rng), 3: ring.one()}, EXACT),
+            PowerSeries(ring, {0: rand_elem(ring, rng)}, n),
+            PowerSeries(ring, {}, n),
+        )
+
+    def test_matches_power_by_power_oracle(self):
+        rng = random.Random(43)
+        for ring in (Q, F7, Z56, Z34V, F5V, QV):
+            for n in (1, 3, 6, 10):
+                for g in self._substitutions(ring, rng, n):
+                    for f in self._outers(ring, rng, n):
+                        got, want = compose(f, g), compose_by_powers(f, g)
+                        assert got.trunc == want.trunc, (format_series(f), format_series(g))
+                        assert got.coeffs == want.coeffs, (format_series(f), format_series(g))
+
+    def test_nilpotent_leading_coefficient_empties_the_powers(self):
+        # (5t)^6 = 0 over Z/5^6, so the powers of g run out before f does
+        g = parse_series(Z56, "5*t + 25*t^2", 12)
+        f = parse_series(Z56, "1 + t + 2*t^3 + t^7 + 3*t^9", 12)
+        got, want = compose(f, g), compose_by_powers(f, g)
+        assert got.trunc == want.trunc
+        assert got.coeffs == want.coeffs
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (qs("t + t^2", 5), qs("1 + t", 5)),
+            (qs("t + t^2", 5), parse_series(F7, "t", 5)),
+            (parse_series(Z56, "t", 5), parse_series(Z53, "t + t^2", 5)),
+            (parse_series(QV, "t", EXACT), parse_series(Q, "t", EXACT)),
+        ],
+    )
+    def test_bad_inputs_raise_as_the_oracle_does(self, f, g):
+        with pytest.raises(Exception) as want:
+            compose_by_powers(f, g)
+        with pytest.raises(Exception) as got:
+            compose(f, g)
         assert type(got.value) is type(want.value)
 
 

@@ -9,10 +9,15 @@ from moorealg.ainfty import (
     hochschild_differential,
     s_op,
 )
-from moorealg.errors import InternalError, NotInvertibleError, PrecisionError
+from moorealg.errors import (
+    CompositionError,
+    InternalError,
+    NotInvertibleError,
+    PrecisionError,
+)
 from moorealg.noncomm import Derivation, GradingContext, NCSeries
 from moorealg.rings import CoeffRing
-from moorealg.series import EXACT, PowerSeries, compose, ps_t
+from moorealg.series import EXACT, PowerSeries, capped, compose, lowered, ps_t
 
 
 def ext(bound):
@@ -231,3 +236,41 @@ def reversion_by_coefficients(f: PowerSeries) -> PowerSeries:
     if any(i <= n for i in (compose(f, g) - ps_t(f.ring, n)).coeffs):
         raise InternalError(f"reversion failed to verify at truncation {n}")
     return g
+
+
+def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
+    """Substitute g into f, one truncated series product per power of g.
+
+    The reference for moorealg.series.compose: the same bound and
+    checks, with g^k built as a PowerSeries and truncated after every
+    product.  O(N^3) for dense inputs.
+    """
+    f._check(g)
+    if 0 in g.coeffs:
+        raise CompositionError("inner series must have zero constant term")
+    og = g.order()
+    ofu = max(f.order(), 1)
+    from_f = lowered(capped((f.trunc + 1) * og), 1)
+    from_g = lowered(ofu, 1) * og + g.trunc
+    n = capped(min(from_f, from_g))
+    out = {}
+    if 0 in f.coeffs:
+        out[0] = f.coeffs[0]
+    gp = g.truncated(n) if n < g.trunc else g
+    top = f.degree()
+    if top is not None:
+        k = 1
+        power = gp
+        while k <= top and power.order() <= n:
+            c = f.coeffs.get(k)
+            if c is not None:
+                for i, a in power.coeffs.items():
+                    if i > n:
+                        continue
+                    s = out.get(i)
+                    p = a * c
+                    out[i] = p if s is None else s + p
+            k += 1
+            if k <= top:
+                power = (power * gp).truncated(n)
+    return PowerSeries(f.ring, out, n)
