@@ -19,6 +19,14 @@ base-p digits slot by slot; a digit sweep clears every such reachable
 digit (see _digit_sweep).  After both, equal orbits produce equal forms
 coefficient by coefficient, not merely matching shapes.
 
+The sweep does not search for its moves.  Re-reduced, a window move
+t + d*p^jm*t^m changes the digits up to the level it acts on by d times
+what its unit move (d = 1) changes, mod p, so one form-only probe per
+window slot and level predicts the single clearing move, which is then
+applied to form and witness and verified like a search result.  The
+sweep covers Z/p^K without v only: over Z/p^K[v] a form at finite
+truncation is not yet unique to its orbit.
+
 The odd-variant action is implemented in full (act_full) but no odd
 classification is attempted; its outputs are validated against letter
 level conjugation in the word-algebra layer.
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .errors import (
@@ -376,7 +385,7 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
         raise NotAUnitError(f"coefficient of t^{k} is not a unit monomial")
     cur, wit = _dvr_reduce(cur, wit, k)
     if not ring.laurent:
-        cur, wit = _digit_sweep(cur, wit, k)
+        cur, wit = _digit_sweep(cur, wit, k, u)
     ok, n = is_canonical(cur)
     if not ok or n != k:
         raise InternalError(
@@ -388,7 +397,8 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
 
 def _dvr_reduce(cur, wit, k):
     # kill everything above the anchor k, then zero the top base-p digit
-    # of the leading unit coefficient with a linear rescale
+    # of the leading unit coefficient with a linear rescale; wit=None
+    # reduces the form alone
     ring = cur.ring
     p, K = ring.p, ring.K
     while True:
@@ -404,7 +414,8 @@ def _dvr_reduce(cur, wit, k):
         c = cur.coeffs[s1] * cur.coeffs[k].scaled(k).inverse()
         h = PowerSeries(ring, {1: ring.one(), s1 - (k - 1): -c}, EXACT)
         cur = compose(cur, h)
-        wit = compose(wit, h)
+        if wit is not None:
+            wit = compose(wit, h)
     ck = cur.coeffs[k]
     hot = [key for key, c in ck.terms.items() if c % p][0]
     top = ck.terms[hot] // p ** (K - 1)
@@ -412,11 +423,31 @@ def _dvr_reduce(cur, wit, k):
         gamma = (-top * pow(k * (ck.terms[hot] % p), -1, p)) % p
         s = PowerSeries(ring, {1: ring.from_int(1 + gamma * p ** (K - 1))}, EXACT)
         cur = compose(cur, s)
-        wit = compose(wit, s)
+        if wit is not None:
+            wit = compose(wit, s)
     return cur, wit
 
 
-def _digit_sweep(cur, wit, k):
+def _digit(series, i, j, p):
+    # base-p digit j of the coefficient of t^i (no v in the sweep's rings)
+    e = series.coeffs.get(i)
+    return 0 if e is None else (e.terms.get(0, 0) // p**j) % p
+
+
+def _unit_response(cur, k, m, jm, positions):
+    """Digit changes, mod p, that the unit move t + p^jm * t^m makes.
+
+    Composes the form alone with the move and re-reduces it without a
+    witness; returns one entry per digit position in positions.
+    """
+    ring = cur.ring
+    p = ring.p
+    unit = PowerSeries(ring, {1: ring.one(), m: ring.from_int(p**jm)}, EXACT)
+    moved, _ = _dvr_reduce(compose(cur, unit), None, k)
+    return [(_digit(moved, i, j, p) - _digit(cur, i, j, p)) % p for j, i in positions]
+
+
+def _digit_sweep(cur, wit, k, source):
     """Zero every base-p digit of the form that substitutions can reach.
 
     At truncation N the substitution coefficients of t^m for
@@ -424,10 +455,23 @@ def _digit_sweep(cur, wit, k):
     land beyond t^N), so distinct runs of the tail reduction can land on
     distinct canonical shapes.  The reachable shapes differ slot by slot
     in a block of high base-p digits.  Scanning digit positions from the
-    least significant level and probing the free substitution window for
-    a move that clears the current digit without touching any earlier
-    one lands every orbit on the same distinguished shape: the one whose
-    movable digits all vanish.
+    least significant level and taking, for each nonzero digit, the
+    first window move t + d*p^jm*t^m (m, then jm, then d ascending) that
+    clears it without touching any earlier digit lands every orbit on
+    the same distinguished shape: the one whose movable digits all
+    vanish.
+
+    The move is predicted, not searched for.  After re-reduction a move
+    changes the digits up to level j by d times the change of its unit
+    move (d = 1), mod p, so for one (m, jm) either no d keeps the
+    earlier digits or all do, and exactly d = -digit / v clears the
+    digit when the unit move changes it by v != 0.  The unit responses
+    are computed once per (m, jm, level) on the form alone.  The chosen
+    move is then applied to form and witness and must pass the test a
+    search would apply (digit cleared, earlier digits kept); a failure
+    raises InternalError naming source, the series being canonicalized.
+    A digit that no window move clears is left as it is: it is part of
+    the orbit invariant.
     """
     if cur.trunc == EXACT:
         # no truncation, no invisible window, nothing to sweep
@@ -439,35 +483,32 @@ def _digit_sweep(cur, wit, k):
     if not free:
         return cur, wit
 
-    def digit(series, i, j):
-        e = series.coeffs.get(i)
-        return 0 if e is None else (e.terms.get(0, 0) // p**j) % p
-
     positions = [(j, i) for j in range(1, K) for i in range(2, k + 1)]
+    responses = {}
     for idx, (j, i) in enumerate(positions):
-        if digit(cur, i, j) == 0:
+        dig = _digit(cur, i, j, p)
+        if dig == 0:
             continue
-        prefix = [digit(cur, ii, jj) for jj, ii in positions[:idx]]
-        found = None
-        for m in free:
-            for jm in range(j):
-                for d in range(1, p):
-                    move = PowerSeries(ring, {1: ring.one(), m: ring.from_int(d * p**jm)}, EXACT)
-                    c2 = compose(cur, move)
-                    w2 = compose(wit, move)
-                    c2, w2 = _dvr_reduce(c2, w2, k)
-                    if digit(c2, i, j) != 0:
-                        continue
-                    if [digit(c2, ii, jj) for jj, ii in positions[:idx]] != prefix:
-                        continue
-                    found = (c2, w2)
-                    break
-                if found:
-                    break
-            if found:
+        for m, jm in product(free, range(j)):
+            v = responses.get((m, jm, j))
+            if v is None:
+                # one entry per position up to level j; v[idx] is this digit
+                v = _unit_response(cur, k, m, jm, positions[: j * (k - 1)])
+                responses[m, jm, j] = v
+            if v[idx] and not any(v[:idx]):
                 break
-        if found:
-            cur, wit = found
+        else:
+            continue
+        d = (-dig * pow(v[idx], -1, p)) % p
+        prefix = [_digit(cur, ii, jj, p) for jj, ii in positions[:idx]]
+        h = PowerSeries(ring, {1: ring.one(), m: ring.from_int(d * p**jm)}, EXACT)
+        c2, w2 = _dvr_reduce(compose(cur, h), compose(wit, h), k)
+        if _digit(c2, i, j, p) or [_digit(c2, ii, jj, p) for jj, ii in positions[:idx]] != prefix:
+            raise InternalError(
+                f"digit sweep move failed to verify: {format_series(source)}, "
+                f"digit (i={i}, j={j}), move (m={m}, jm={jm}, d={d})"
+            )
+        cur, wit = c2, w2
     return cur, wit
 
 

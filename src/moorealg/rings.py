@@ -311,11 +311,14 @@ class RingElem:
         if r.mode == "Fp":
             ((k, c),) = self.terms.items()
             return RingElem(r, {-k: pow(c, -1, r.p)})
-        # Zp: split off the unit monomial m, then invert 1+n geometrically.
+        # Zp: split off the unit monomial m, then invert 1+n geometrically;
+        # a single monomial is its own m, already inverted exactly.
         m = r.modulus
         hot = [k for k, c in self.terms.items() if c % r.p != 0]
         k0 = hot[0]
         minv = RingElem(r, {_kneg(k0): pow(self.terms[k0], -1, m)})
+        if len(self.terms) == 1:
+            return minv
         n = minv * self - r.one()
         # n is divisible by p, so n^K = 0 and the geometric series is finite
         acc = r.one()

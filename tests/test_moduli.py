@@ -9,6 +9,8 @@ from moorealg.errors import (
     FieldRequiredError,
     HeightUndefinedError,
     IncompatibleRingError,
+    InternalError,
+    MooreError,
     NoUniformizerError,
     NotAUnitError,
     NotInvertibleError,
@@ -17,6 +19,7 @@ from moorealg.errors import (
     StructureError,
     WildCaseError,
 )
+from moorealg import moduli
 from moorealg.moduli import (
     CanonicalForm,
     MooreAlgebra,
@@ -36,9 +39,23 @@ from moorealg.noncomm import (
     normalized_endo,
 )
 from moorealg.rings import CoeffRing
-from moorealg.series import EXACT, PowerSeries, compose, ps_t, ps_zero, super_derivative
+from moorealg.series import (
+    EXACT,
+    PowerSeries,
+    compose,
+    format_series,
+    ps_t,
+    ps_zero,
+    super_derivative,
+)
 
-from util import agree_derivation, rand_even_series, rand_odd_series, rand_series
+from util import (
+    agree_derivation,
+    digit_sweep_by_probes,
+    rand_even_series,
+    rand_odd_series,
+    rand_series,
+)
 
 Q = CoeffRing("Q")
 QV = CoeffRing("Q", laurent=True)
@@ -542,6 +559,66 @@ class TestCanonicalizeDvr:
         assert cf.kind == "canonical" and cf.n == 2
         assert cf.form == u
         assert cf.witness == ps_t(Z56V, 8)
+
+
+def _anchored_input(rng, p, K, k, N):
+    """u = p*c*t + (multiples of p below t^k) + unit*t^k + tail, and a unit-linear f."""
+    ring = CoeffRing("Zp", p, K)
+    mod = p**K
+
+    def unit():
+        return rng.randrange(1, p) + p * rng.randrange(mod // p)
+
+    u = {1: p * rng.randrange(1, p), k: unit()}
+    u.update({i: p * rng.randrange(1, mod // p) for i in range(2, k) if rng.random() < 0.7})
+    u.update({i: rng.randrange(1, mod) for i in range(k + 1, N + 1) if rng.random() < 0.7})
+    f = {1: unit()}
+    f.update({i: rng.randrange(1, mod) for i in range(2, N + 1) if rng.random() < 0.7})
+    return S(ring, u, N), S(ring, f, N)
+
+
+def _canonical_outcome(u):
+    try:
+        cf = canonicalize_dvr(u)
+    except MooreError as exc:
+        return type(exc)
+    return (cf.kind, cf.n, cf.form.coeffs, cf.form.trunc, cf.witness.coeffs, cf.witness.trunc)
+
+
+class TestDigitSweep:
+    def test_matches_probe_oracle(self, monkeypatch):
+        # predicted moves against trying every (m, jm, d): identical kind,
+        # height, form, witness and truncations on a seeded corpus of two
+        # inputs per ring, which together take every anchor 2..7 and every
+        # truncation rule k+1, k+2, 8, 10, 12
+        rng = random.Random(6006)
+        rings = ((5, 6), (7, 4), (3, 6), (5, 3), (2, 5), (11, 3))
+        inputs = []
+        for q in range(2 * len(rings)):
+            p, K = rings[q // 2]
+            k = 2 + q % 6
+            if k % p == 0:
+                k -= 1
+            N = (k + 1, k + 2, 8, 10, 12)[q % 5]
+            u, f = _anchored_input(rng, p, K, k, N)
+            inputs += [u, compose(u, f)]
+        got = [_canonical_outcome(x) for x in inputs]
+        monkeypatch.setattr(
+            moduli, "_digit_sweep", lambda cur, wit, k, source: digit_sweep_by_probes(cur, wit, k)
+        )
+        for x, outcome in zip(inputs, got):
+            assert outcome == _canonical_outcome(x), format_series(x)
+
+    def test_wrong_prediction_raises(self, monkeypatch):
+        # a corrupted unit response predicts a d that does not clear the digit
+        true_response = moduli._unit_response
+        monkeypatch.setattr(
+            moduli, "_unit_response", lambda *args: [2 * x % 7 for x in true_response(*args)]
+        )
+        u = S(CoeffRing("Zp", 7, 4), {1: 7, 2: 1, 3: 1}, 3)
+        with pytest.raises(InternalError) as err:
+            canonicalize_dvr(u)
+        assert format_series(u) in str(err.value)
 
 
 class TestEquivalent:

@@ -16,6 +16,8 @@ from moorealg.errors import (
 )
 from moorealg.rings import CoeffRing, format_elem, parse_ring
 
+from util import inverse_by_geometric_series
+
 Q = CoeffRing("Q")
 QV = CoeffRing("Q", laurent=True)
 F5 = CoeffRing("Fp", p=5)
@@ -170,6 +172,36 @@ class TestInterning:
             Z56.one() + Z56V.one()
         with pytest.raises(IncompatibleRingError):
             Z56.residue(Z53.one())
+
+
+class TestZpInverse:
+    """Zp inverses against the geometric-series reference."""
+
+    def check(self, x):
+        inv = x.inverse()
+        assert x * inv == x.ring.one()
+        assert inv == inverse_by_geometric_series(x)
+
+    @pytest.mark.parametrize("p,K", [(5, 3), (2, 5)])
+    def test_every_unit(self, p, K):
+        ring = CoeffRing("Zp", p=p, K=K)
+        for n in range(1, p**K):
+            if n % p:
+                self.check(ring.from_int(n))
+
+    def test_laurent_monomials(self):
+        ring = CoeffRing("Zp", p=3, K=4, laurent=True)
+        for j in range(-3, 4):
+            for c in (1, 2, 5, 40, 80):
+                self.check(ring.el({j: c}))
+
+    def test_laurent_multi_term_units(self):
+        # one unit monomial plus multiples of p: the geometric series is used
+        ring = CoeffRing("Zp", p=5, K=3, laurent=True)
+        for c0 in (1, 2, 7, 124):
+            for c1 in (5, 25, 100, 120):
+                self.check(ring.el({0: c0, 2: c1}))
+                self.check(ring.el({-1: c1, 1: c0, 3: 50}))
 
 
 class TestRingSpecs:

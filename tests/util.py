@@ -15,8 +15,9 @@ from moorealg.errors import (
     NotInvertibleError,
     PrecisionError,
 )
+from moorealg.moduli import _dvr_reduce
 from moorealg.noncomm import Derivation, GradingContext, NCSeries
-from moorealg.rings import CoeffRing
+from moorealg.rings import CoeffRing, RingElem
 from moorealg.series import EXACT, PowerSeries, capped, compose, lowered, ps_t
 
 
@@ -274,3 +275,70 @@ def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
             if k <= top:
                 power = (power * gp).truncated(n)
     return PowerSeries(f.ring, out, n)
+
+
+def digit_sweep_by_probes(cur, wit, k):
+    """Digit sweep that tries every window move t + d*p^jm*t^m in turn.
+
+    The reference for moorealg.moduli._digit_sweep: for each nonzero
+    digit (i, j), in the same position order, it composes form and
+    witness with every candidate (m, then jm, then d ascending),
+    re-reduces, and keeps the first result that clears the digit and
+    leaves every earlier digit as it was.  O(window * levels * p)
+    compositions per digit.
+    """
+    if cur.trunc == EXACT:
+        return cur, wit
+    ring = cur.ring
+    p, K = ring.p, ring.K
+    N = cur.trunc
+    free = range(max(N - k + 2, 2), N + 1)
+    if not free:
+        return cur, wit
+
+    def digit(series, i, j):
+        e = series.coeffs.get(i)
+        return 0 if e is None else (e.terms.get(0, 0) // p**j) % p
+
+    positions = [(j, i) for j in range(1, K) for i in range(2, k + 1)]
+    for idx, (j, i) in enumerate(positions):
+        if digit(cur, i, j) == 0:
+            continue
+        prefix = [digit(cur, ii, jj) for jj, ii in positions[:idx]]
+        found = None
+        for m in free:
+            for jm in range(j):
+                for d in range(1, p):
+                    move = PowerSeries(ring, {1: ring.one(), m: ring.from_int(d * p**jm)}, EXACT)
+                    c2, w2 = _dvr_reduce(compose(cur, move), compose(wit, move), k)
+                    if digit(c2, i, j) != 0:
+                        continue
+                    if [digit(c2, ii, jj) for jj, ii in positions[:idx]] != prefix:
+                        continue
+                    found = (c2, w2)
+                    break
+                if found:
+                    break
+            if found:
+                break
+        if found:
+            cur, wit = found
+    return cur, wit
+
+
+def inverse_by_geometric_series(x):
+    """Inverse of a unit over Z/p^K (optionally [v]) by a geometric series.
+
+    The reference for RingElem.inverse in Zp mode: split off the inverse
+    m of one unit monomial, then invert 1 + n, n = m*x - 1 divisible by
+    p, as the finite sum of (-n)^i for i < K.
+    """
+    r = x.ring
+    k0 = next(k for k, c in x.terms.items() if c % r.p)
+    minv = RingElem(r, {-k0: pow(x.terms[k0], -1, r.modulus)})
+    n = minv * x - r.one()
+    acc = term = r.one()
+    for _ in range(1, r.K):
+        term = term * (-n)
+        acc = acc + term
+    return acc * minv
