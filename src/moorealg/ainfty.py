@@ -11,8 +11,9 @@ degree n is (n + 1) mod 2.  The tensor-word conventions:
 
 Arity truncation follows the one precision model of the series module:
 a structure or cochain with arity_bound N promises exact components
-through arity N and says nothing beyond, and arity_bound = EXACT marks
-an object whose higher components are genuinely zero.  EXACT saturates:
+through arity N and says nothing beyond, arity_bound = EXACT marks
+an object whose higher components are genuinely zero, and -1 marks one
+of which nothing is known.  Bounds saturate at both ends:
 
     sum                -> min(Na, Nb)
     differential       -> min(Nc, Nm), or min(Nc, Nm - 1) if the cochain

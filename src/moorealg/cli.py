@@ -37,7 +37,14 @@ from .moduli import (
     equivalent,
     orbit_invariant_char0,
 )
-from .noncomm import GradingContext, check_square_zero, conjugate, moore_mstar, normalized_endo
+from .noncomm import (
+    GradingContext,
+    agree_nc,
+    check_square_zero,
+    conjugate,
+    moore_mstar,
+    normalized_endo,
+)
 from .rings import CoeffRing, format_elem, parse_ring
 from .series import (
     EXACT,
@@ -48,7 +55,6 @@ from .series import (
     height,
     parse_series,
     ps_t,
-    ps_zero,
     reversion,
 )
 
@@ -66,14 +72,15 @@ def _default_trunc() -> int:
 
 
 def _parse_trunc(val) -> int:
-    if isinstance(val, int):
-        return val
     if str(val).strip().lower() == "exact":
         return EXACT
     try:
-        return int(val)
+        n = int(val)
     except ValueError:
         raise ParseError(f"bad truncation {val!r}", 0) from None
+    if n < 0:
+        raise ParseError(f"negative truncation {n}: give an integer >= 0 or exact", 0)
+    return n
 
 
 class _Options:
@@ -110,7 +117,8 @@ class _Options:
         return parse_ring(str(self.require("ring")))
 
     def trunc(self) -> int:
-        return _parse_trunc(self.get("trunc", _default_trunc()))
+        val = self.get("trunc")  # the environment is read only when no flag or key is set
+        return _parse_trunc(_default_trunc() if val is None else val)
 
     def series(self, ring, name="series") -> PowerSeries:
         return parse_series(ring, str(self.require(name)), self.trunc())
@@ -281,15 +289,10 @@ def _cmd_verify_universal(opt):
     }
 
 
-def _rand_elem(ring, rng, nonzero=False):
+def _rand_elem(ring, rng):
     if ring.mode == "Q":
-        lo = 1 if nonzero else -4
-        val = rng.randrange(lo, 5)
-        if nonzero and rng.random() < 0.5:
-            val = -val
-        return ring.from_int(val if val or nonzero else 0)
-    val = rng.randrange(1 if nonzero else 0, ring.modulus)
-    return ring.from_int(val)
+        return ring.from_int(rng.randrange(-4, 5))
+    return ring.from_int(rng.randrange(ring.modulus))
 
 
 def _rand_unit(ring, rng):
@@ -383,13 +386,6 @@ def _cmd_audit(opt):
 # -- selftest --------------------------------------------------------------
 
 
-def _agree_nc(a, b, upto):
-    n = min(a.maxlen, b.maxlen, upto)
-    words = {w for w in a.terms if len(w) <= n} | {w for w in b.terms if len(w) <= n}
-    zero = a.ring.zero()
-    return all(a.terms.get(w, zero) == b.terms.get(w, zero) for w in words)
-
-
 def _suite_action(rng):
     F7 = CoeffRing("Fp", 7)
     odd = GradingContext(1)
@@ -404,7 +400,7 @@ def _suite_action(rng):
         )
         want = moore_mstar(MooreAlgebra.odd(v=Bp, w=Ap))
         if not (
-            _agree_nc(got.onTau, want.onTau, 8) and _agree_nc(got.onT, want.onT, 8)
+            agree_nc(got.onTau, want.onTau, 8) and agree_nc(got.onT, want.onT, 8)
         ):
             raise InternalError("action formula disagrees with conjugation")
     return 10

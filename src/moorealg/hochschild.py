@@ -170,21 +170,25 @@ def _mod_p_height(u: PowerSeries):
 def hh_closed_form(M) -> HHReport:
     """Cohomology via the quotient by u'(t).
 
-    Needs the linear coefficient nonzero (to working precision in the
-    valuation mode).  Over a field that makes u' invertible, so the
-    quotient is 0.  Over Z/p^K: u' = 0 mod p gives the residue branch
-    (R/p)[[t]] with infinite rank, cross-checked against the criterion
-    that every unit slot of u sits at an exponent divisible by p;
-    otherwise the quotient is free of rank r presented by the
-    distinguished factor of u'.
+    Needs the linear coefficient known (trunc >= 1, else PrecisionError)
+    and nonzero (to working precision in the valuation mode).  Over a
+    field that makes u' invertible, so the quotient is 0.  Over Z/p^K:
+    u' = 0 mod p gives the residue branch (R/p)[[t]] with infinite
+    rank, cross-checked against the criterion that every unit slot of
+    u sits at an exponent divisible by p; otherwise the quotient is
+    free of rank r presented by the distinguished factor of u'.
     """
     if M.kind != "even":
         raise StructureError("cohomology analysis covers even data only")
     u = M.u
     ring = u.ring
-    u1 = u.coeffs.get(1)
+    if not ring.is_field and ring.mode != "Zp":
+        raise FieldRequiredError(
+            f"{ring.spec()} is neither a (graded) field nor a valuation ring"
+        )
+    u1 = u.coeff(1)
     if ring.is_field:
-        if u1 is None:
+        if not u1:
             raise ZeroDivisorError("linear coefficient is zero")
         return HHReport(
             ring=ring,
@@ -193,11 +197,7 @@ def hh_closed_form(M) -> HHReport:
             rank=0,
             torsion="not-applicable",
         )
-    if ring.mode != "Zp":
-        raise FieldRequiredError(
-            f"{ring.spec()} is neither a (graded) field nor a valuation ring"
-        )
-    if u1 is None or u1.valuation() >= ring.K:
+    if u1.valuation() >= ring.K:
         raise ZeroDivisorError("linear coefficient is zero to working precision")
     up = derivative(u)
     up_kills_p = all(c.valuation() >= 1 for c in up.coeffs.values())

@@ -155,8 +155,8 @@ def _require_substitution(f: PowerSeries) -> RingElem:
     """Check f(0) = 0 with a unit linear slot; return that coefficient."""
     if 0 in f.coeffs:
         raise NotInvertibleError("substitution has a nonzero constant term")
-    f1 = f.coeffs.get(1)
-    if f1 is None or not f1.is_unit():
+    f1 = f.coeff(1)
+    if not f1.is_unit():
         raise NotInvertibleError("substitution needs a unit linear coefficient")
     return f1
 
@@ -341,14 +341,12 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
         raise NoUniformizerError(f"{ring.spec()} has no uniformizer")
     if 0 in u.coeffs:
         raise StructureError("classifying series has a nonzero constant term")
-    if u.trunc < 1:
-        raise PrecisionError("truncation too small to see the linear coefficient")
     if is_trivial(u):
         return CanonicalForm("trivial", None, u, ps_t(ring, u.trunc))
     p, K = ring.p, ring.K
     pi = ring.uniformizer()
-    u1 = u.coeffs.get(1)
-    if u1 is None or u1.valuation() != 1:
+    u1 = u.coeff(1)
+    if u1.valuation() != 1:
         raise StructureError(
             "linear coefficient must be a unit multiple of the uniformizer"
         )

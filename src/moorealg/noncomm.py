@@ -10,7 +10,8 @@ Truncation is by word length.  An NCSeries with maxlen L promises that
 every word of length <= L has its exact stored coefficient; nothing is
 claimed beyond L.  Bounds follow the one precision model of the series
 module: maxlen = EXACT marks a finite sum of words known completely,
-and EXACT saturates under every formula below.
+maxlen = -1 marks a series of which nothing is known, and every formula
+below saturates at both ends.
 
     add       -> min(La, Lb)
     nc_mul    -> min(La + ord(b), Lb + ord(a))
@@ -32,7 +33,6 @@ representable so that square-zero failure can be witnessed.
 """
 
 from .errors import (
-    CompositionError,
     IncompatibleRingError,
     NotInvertibleError,
     ParityError,
@@ -77,16 +77,10 @@ class GradingContext:
     def letter_parity(self, ch: str) -> int:
         return 1 if ch == "T" else self.tpar
 
-    def letter_degree(self, ch: str) -> int:
-        return -1 if ch == "T" else -self.d - 2
-
     def word_parity(self, word: str) -> int:
         if self.tpar:
             return len(word) % 2
         return word.count("T") % 2
-
-    def word_degree(self, word: str) -> int:
-        return -word.count("T") - (self.d + 2) * word.count("t")
 
 
 def _check_compat(a: "NCSeries", b: "NCSeries"):
@@ -163,11 +157,6 @@ class NCSeries:
             return self
         return NCSeries(self.ring, self.grading, self.terms, maxlen)
 
-    def map_coeffs(self, fn) -> "NCSeries":
-        return NCSeries(
-            self.ring, self.grading, {w: fn(c) for w, c in self.terms.items()}, self.maxlen
-        )
-
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
@@ -210,6 +199,16 @@ class NCSeries:
         return f"<{format_ncseries(self)}{tail} : {self.ring.spec()}>"
 
 
+def agree_nc(a: NCSeries, b: NCSeries, upto=None) -> bool:
+    """Wordwise equality on the word lengths both sides know, up to upto."""
+    n = min(a.maxlen, b.maxlen)
+    if upto is not None:
+        n = min(n, upto)
+    words = {w for w in a.terms if len(w) <= n} | {w for w in b.terms if len(w) <= n}
+    zero = a.ring.zero()
+    return all(a.terms.get(w, zero) == b.terms.get(w, zero) for w in words)
+
+
 # -- constructors ---------------------------------------------------------
 
 
@@ -247,7 +246,7 @@ def nc_to_powers(x: NCSeries) -> PowerSeries:
 def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     """Concatenation product, truncation min(La + ord b, Lb + ord a)."""
     _check_compat(a, b)
-    n = capped(min(a.maxlen + b.order(), b.maxlen + a.order()))
+    n = capped(min(lowered(b.order(), -a.maxlen), lowered(a.order(), -b.maxlen)))
     out = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
@@ -325,7 +324,7 @@ def derivation_apply(xi: Derivation, x: NCSeries) -> NCSeries:
     grading = x.grading
     omin = min(xi.onTau.order(), xi.onT.order())
     limg = min(xi.onTau.maxlen, xi.onT.maxlen)
-    n = lowered(capped(min(x.maxlen + omin, x.order() + limg)), 1)
+    n = lowered(capped(min(lowered(omin, -x.maxlen), lowered(x.order(), -limg))), 1)
     out = {}
     for word, c in x.terms.items():
         ppar = 0  # parity of the prefix consumed so far
@@ -485,11 +484,6 @@ def apply_endo(phi: NCEndo, x: NCSeries) -> NCSeries:
     return acc
 
 
-def endo_compose(phi: NCEndo, psi: NCEndo) -> NCEndo:
-    """phi after psi: letter images of psi, pushed through phi."""
-    return NCEndo(apply_endo(phi, psi.imageTau), apply_endo(phi, psi.imageT))
-
-
 def _normalized_parts(phi: NCEndo):
     """Split a normalized endomorphism into its one-variable (shift, sub)."""
     shift = phi.imageTau - nc_word(phi.ring, phi.grading, "T")
@@ -506,7 +500,7 @@ def _normalized_parts(phi: NCEndo):
 def endo_inverse(phi: NCEndo) -> NCEndo:
     """Inverse of a normalized endomorphism: (shift, sub) -> (-shift(sub^-1), sub^-1)."""
     g, f = _normalized_parts(phi)
-    if 1 not in f.coeffs or not f.coeffs[1].is_unit():
+    if not f.coeff(1).is_unit():
         raise NotInvertibleError("substitution part needs a unit linear coefficient")
     finv = ps_reversion(f)
     ginv = -ps_compose(g, finv)

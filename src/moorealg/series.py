@@ -8,18 +8,22 @@ precision than they have:
 * add:      min(Na, Nb)
 * mul:      min(Na + ord(b), Nb + ord(a))
 * compose:  min((Na+1)*ord(b) - 1, (max(ord(a),1)-1)*ord(b) + Nb)
-* derivative: N - 1 (floored at 0);  shifted(k): N + k
+* derivative: N - 1;  shifted(k): N + k
 
 where ord is the first exponent with a nonzero known coefficient (one
 past the truncation for a series that is zero as far as it is known).
 
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
-it too.  A bound equal to EXACT means "known completely": a polynomial
-here, a finite sum of words, or a cochain with no higher components.
-EXACT is a saturating infinity.  capped() and lowered() apply it to a
-computed bound, so EXACT plus anything or minus anything is EXACT, and
-every constructor clamps its bound, so no object holds a bound above it.
+it too.  Bounds run from -1 to EXACT.  A bound equal to EXACT means
+"known completely": a polynomial here, a finite sum of words, or a
+cochain with no higher components.  A bound of -1 means "nothing
+known": no coefficient, not even the constant term.  capped() saturates
+a computed bound at both ends and lowered() keeps EXACT fixed, so EXACT
+plus anything or minus anything is EXACT, and every constructor clamps
+its bound, so no object holds a bound outside [-1, EXACT].  Past its
+bound a coefficient is unknown, not zero: coeff() raises PrecisionError
+there, and every coefficient that decides a branch is read through it.
 
 Text grammar (round-trips with format_series):
 
@@ -34,7 +38,6 @@ so "5*t + v*t^2 + 3*t^4", "t - 1/2*t^2", "(5 + v)*t^2" all parse.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .errors import (
@@ -42,24 +45,26 @@ from .errors import (
     HeightUndefinedError,
     IncompatibleRingError,
     InternalError,
-    NoUniformizerError,
-    NotAUnitError,
     NotInvertibleError,
     ParseError,
     PrecisionError,
 )
-from .rings import CoeffRing, RingElem, format_elem, parse_ring
+from .rings import CoeffRing, RingElem, format_elem
 
 EXACT = 10 ** 9  # the bound of an object known completely; see capped/lowered
 
 
 def capped(n: int) -> int:
-    """A computed bound, saturated at EXACT."""
-    return n if n < EXACT else EXACT
+    """A computed bound, saturated at -1 ("nothing known") and EXACT."""
+    return -1 if n < -1 else n if n < EXACT else EXACT
 
 
 def lowered(n: int, k: int) -> int:
-    """The bound n lowered by k; EXACT stays EXACT."""
+    """The bound n lowered by k; EXACT stays EXACT.
+
+    A negative k raises n: lowered(order, -N) is order + N, in which an
+    order of EXACT (an exact zero) absorbs even a bound N = -1.
+    """
     return n if n >= EXACT else n - k
 
 
@@ -67,8 +72,6 @@ class PowerSeries:
     __slots__ = ("ring", "trunc", "coeffs")
 
     def __init__(self, ring: CoeffRing, coeffs: dict, trunc: int):
-        if trunc < 0:
-            raise ValueError("truncation must be >= 0")
         trunc = capped(trunc)
         self.ring = ring
         self.trunc = trunc
@@ -159,7 +162,7 @@ class PowerSeries:
 
     def __mul__(self, other):
         self._check(other)
-        n = min(self.trunc + other.order(), other.trunc + self.order())
+        n = min(lowered(other.order(), -self.trunc), lowered(self.order(), -other.trunc))
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -179,9 +182,6 @@ class PowerSeries:
         """Multiply by t^k (exactly)."""
         n = capped(self.trunc + k)
         return PowerSeries(self.ring, {i + k: c for i, c in self.coeffs.items()}, n)
-
-    def map_coeffs(self, f) -> "PowerSeries":
-        return PowerSeries(self.ring, {i: f(c) for i, c in self.coeffs.items()}, self.trunc)
 
 
 def ps_zero(ring: CoeffRing, trunc: int) -> PowerSeries:
@@ -253,8 +253,8 @@ def reciprocal(f: PowerSeries) -> PowerSeries:
     positive degree raises PrecisionError; an exact constant gives an
     exact constant.
     """
-    a0 = f.coeffs.get(0)
-    if a0 is None or not a0.is_unit():
+    a0 = f.coeff(0)
+    if not a0.is_unit():
         raise NotInvertibleError("reciprocal needs a unit constant term")
     if f.trunc == EXACT and f.coeffs.keys() != {0}:
         raise PrecisionError("reciprocal of an exact series is infinite; truncate")
@@ -303,8 +303,8 @@ def reversion(f: PowerSeries) -> PowerSeries:
     """
     if 0 in f.coeffs:
         raise NotInvertibleError("series has a constant term")
-    f1 = f.coeffs.get(1)
-    if f1 is None or not f1.is_unit():
+    f1 = f.coeff(1)
+    if not f1.is_unit():
         raise NotInvertibleError("linear coefficient is not a unit")
     n = f.trunc
     if n == EXACT:
@@ -334,7 +334,7 @@ def reversion(f: PowerSeries) -> PowerSeries:
 
 
 def derivative(f: PowerSeries) -> PowerSeries:
-    n = max(lowered(f.trunc, 1), 0)
+    n = lowered(f.trunc, 1)
     out = {}
     for i, c in f.coeffs.items():
         if i >= 1:
@@ -351,7 +351,7 @@ def super_derivative(f: PowerSeries) -> PowerSeries:
     produces when t is an odd letter; the alternating Leibniz signs
     cancel in pairs, leaving one term for odd i and none for even i.
     """
-    n = max(lowered(f.trunc, 1), 0)
+    n = lowered(f.trunc, 1)
     out = {}
     for i, c in f.coeffs.items():
         if i % 2 == 1:
@@ -595,25 +595,3 @@ def format_series(f: PowerSeries) -> str:
         else:
             chunks.append(("- " if neg else "+ ") + text)
     return " ".join(chunks)
-
-
-# -- JSON form -------------------------------------------------------------
-
-
-def series_to_json(f: PowerSeries) -> dict:
-    return {
-        "ring": f.ring.spec(),
-        "trunc": f.trunc,
-        "coeffs": {str(i): format_elem(c) for i, c in sorted(f.coeffs.items())},
-    }
-
-
-def series_from_json(data) -> PowerSeries:
-    if isinstance(data, str):
-        data = json.loads(data)
-    ring = parse_ring(data["ring"])
-    trunc = int(data["trunc"])
-    coeffs = {}
-    for k, text in data.get("coeffs", {}).items():
-        coeffs[int(k)] = parse_elem(ring, text)
-    return PowerSeries(ring, coeffs, trunc)

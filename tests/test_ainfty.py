@@ -495,7 +495,8 @@ class TestPrecisionModel:
 
     @staticmethod
     def _rand_bound(rng):
-        return EXACT if rng.random() < 0.5 else rng.randint(0, 5)
+        # finite bounds run from -1 (nothing known) to 5
+        return EXACT if rng.random() < 0.5 else rng.randint(-1, 5)
 
     def test_sum_s_op_and_differential(self):
         rng = random.Random(71)
@@ -534,6 +535,10 @@ class TestPrecisionModel:
         c = HochschildCochain(Q, B0, 1, {}, EXACT + 5)
         assert c.arity_bound == EXACT
         assert AInfStructure(Q, B0, {}, EXACT + 5).arity_bound == EXACT
+        comp = MultiComponent(Q, B0, 0, 1, {(): {"y": 1}})
+        nothing = HochschildCochain(Q, B0, 1, {0: comp}, -5)
+        assert nothing.arity_bound == -1 and nothing.is_zero()
+        assert AInfStructure(Q, B0, {}, -5).arity_bound == -1
 
 
 def _bar_diff(m, vec):

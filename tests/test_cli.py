@@ -113,6 +113,31 @@ class TestExitCodes:
         assert out == ""
         assert "internal error" in err
 
+    def test_unknown_linear_coefficient_is_3(self, capsys):
+        code, out, err = run(
+            ["hochschild", "--ring", "F5", "--series", "t", "--trunc", "0"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "PrecisionError" in err
+
+    def test_negative_trunc_is_2(self, capsys):
+        code, out, err = run(
+            ["height", "--ring", "Q", "--series", "t", "--trunc", "-1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "truncation" in err
+
+    def test_negative_word_length_is_2(self, capsys):
+        code, out, err = run(
+            ["verify-universal", "--parity", "even", "--arity", "3", "--trunc", "-2"],
+            capsys,
+        )
+        assert code == 2
+        assert "PASS" not in out
+        assert "truncation" in err
+
     def test_missing_series_is_2(self, capsys):
         code, _, err = run(["height", "--ring", "Q"], capsys)
         assert code == 2
@@ -171,6 +196,26 @@ class TestDefaultsAndConfig:
         code, out, _ = run(["height", "--config", str(cfg), "--series", "t^3"], capsys)
         assert code == 0
         assert out.strip() == "height: 3"
+
+    def test_negative_env_default_trunc_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MOORE_DEFAULT_TRUNC", "-1")
+        code, _, err = run(["height", "--ring", "Q", "--series", "t"], capsys)
+        assert code == 2
+        assert "truncation" in err
+        # a flag wins, so the environment is not even read
+        for raw in ("-1", "abc"):
+            monkeypatch.setenv("MOORE_DEFAULT_TRUNC", raw)
+            code, out, _ = run(
+                ["height", "--ring", "Q", "--series", "t", "--trunc", "5"], capsys
+            )
+            assert code == 0 and out.strip() == "height: 1"
+
+    def test_negative_config_trunc_is_2(self, capsys, tmp_path):
+        cfg = tmp_path / "moore.json"
+        cfg.write_text(json.dumps({"ring": "Q", "trunc": -3, "series": "t"}))
+        code, _, err = run(["height", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "truncation" in err
 
     def test_bad_config_is_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"

@@ -161,6 +161,15 @@ class TestClosedForm:
         with pytest.raises(ZeroDivisorError):
             hh_closed_form(even(Z56, {2: 1}, 8))
 
+    def test_unknown_linear_coefficient_is_not_read_as_zero(self):
+        # at trunc 0 nothing is known about u_1, so neither gate may pass
+        for ring in (F5, Z56):
+            with pytest.raises(PrecisionError):
+                hh_closed_form(even(ring, {}, 0))
+        # the ring is checked before the coefficient is read
+        with pytest.raises(FieldRequiredError):
+            hh_closed_form(even(POLY, {}, 0))
+
     def test_odd_rejected(self):
         sq = PowerSeries(F5, {2: F5.one()}, 8)
         M = MooreAlgebra.odd(sq, sq)

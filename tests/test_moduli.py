@@ -138,6 +138,11 @@ class TestAct:
         out = act(MooreAlgebra.even(S(F7, {2: 1}, 6)), S(F7, {1: 3}, 6))
         assert out.u.coeffs == {2: F7.from_int(2)}
 
+    def test_unknown_linear_coefficient_is_not_read_as_zero(self):
+        M = MooreAlgebra.even(S(F7, {2: 1}, 8))
+        with pytest.raises(PrecisionError):
+            act(M, ps_zero(F7, 0))
+
     def test_right_action_law(self):
         rng = random.Random(101)
         for _ in range(5):

@@ -24,7 +24,6 @@ from moorealg.noncomm import (
     conjugate,
     derivation_apply,
     derivation_commutator,
-    endo_compose,
     endo_inverse,
     format_ncseries,
     moore_mstar,
@@ -41,11 +40,13 @@ from util import (
     agree_derivation,
     agree_nc,
     check_bound,
+    endo_compose,
     ext,
     from_ext,
     rand_derivation,
     rand_nc,
     rand_series,
+    times,
 )
 
 Q = CoeffRing("Q")
@@ -499,8 +500,11 @@ def _ord(x):
 
 
 def _rand_bounded(rng, scalar=False):
-    """A random F7 word series, zero about a fifth of the time, EXACT half of the time."""
-    maxlen = EXACT if rng.random() < 0.5 else rng.randint(0, 5)
+    """A random F7 word series, zero about a fifth of the time, EXACT half of the time.
+
+    Finite bounds run from -1 (nothing known) to 5.
+    """
+    maxlen = EXACT if rng.random() < 0.5 else rng.randint(-1, 5)
     x = rand_nc(F7, ODD, rng, maxlen, nwords=rng.choice((0, 1, 2, 3, 4)))
     if scalar and rng.random() < 0.3:
         x = x + nc_scalar(F7, ODD, 3, maxlen)
@@ -546,7 +550,7 @@ class TestPrecisionModel:
             phi = NCEndo(*images)
             x = _rand_bounded(rng)
             o = min(_ord(img) for img in images)
-            want = (ext(x.maxlen) + 1) * o - 1
+            want = times(ext(x.maxlen) + 1, o) - 1
             got = apply_endo(phi, x).maxlen
             if exact_images:
                 check_bound(got, want, x.maxlen)
@@ -561,3 +565,6 @@ class TestPrecisionModel:
     def test_constructor_clamps(self):
         assert nc_zero(F7, ODD, EXACT + 5).maxlen == EXACT
         assert nc_zero(F7, ODD).order() == EXACT
+        nothing = NCSeries(F7, ODD, {"": 1, "t": 1}, -5)
+        assert nothing.maxlen == -1 and nothing.is_zero()
+        assert nothing.order() == 0

@@ -30,8 +30,6 @@ from moorealg.series import (
     ps_t,
     reciprocal,
     reversion,
-    series_from_json,
-    series_to_json,
     super_derivative,
     weierstrass_rank,
 )
@@ -45,6 +43,9 @@ from util import (
     rand_series,
     rand_unit,
     reversion_by_coefficients,
+    series_from_json,
+    series_to_json,
+    times,
 )
 
 Q = CoeffRing("Q")
@@ -149,14 +150,12 @@ def _ord(f):
     return min(f.coeffs) if f.coeffs else ext(f.trunc) + 1
 
 
-def _times(a, b):
-    # a factor 0 means the term never appears, even against infinity
-    return 0 if 0 in (a, b) else a * b
-
-
 def _rand_bounded(rng, ord_min):
-    """A random F7 series, zero about a third of the time, EXACT half of the time."""
-    f = rand_series(F7, rng, rng.randint(0, 6), ord_min, density=rng.choice((0, 0.5, 0.9)))
+    """A random F7 series, zero about a third of the time, EXACT half of the time.
+
+    Finite bounds run from -1 (nothing known) to 6.
+    """
+    f = rand_series(F7, rng, rng.randint(-1, 6), ord_min, density=rng.choice((0, 0.5, 0.9)))
     return PowerSeries(F7, f.coeffs, EXACT) if rng.random() < 0.5 else f
 
 
@@ -179,8 +178,8 @@ class TestPrecisionModel:
             f, g = _rand_bounded(rng, 0), _rand_bounded(rng, 1)
             og = _ord(g)
             want = min(
-                (ext(f.trunc) + 1) * og - 1,
-                _times(max(_ord(f), 1) - 1, og) + ext(g.trunc),
+                times(ext(f.trunc) + 1, og) - 1,
+                times(max(_ord(f), 1) - 1, og) + ext(g.trunc),
             )
             check_bound(compose(f, g).trunc, want, f.trunc, g.trunc)
 
@@ -189,14 +188,25 @@ class TestPrecisionModel:
         for _ in range(200):
             f = _rand_bounded(rng, 0)
             n = ext(f.trunc)
-            check_bound(derivative(f).trunc, max(n - 1, 0), f.trunc)
-            check_bound(super_derivative(f).trunc, max(n - 1, 0), f.trunc)
+            check_bound(derivative(f).trunc, n - 1, f.trunc)
+            check_bound(super_derivative(f).trunc, n - 1, f.trunc)
             k = rng.randint(0, 3)
             check_bound(f.shifted(k).trunc, n + k, f.trunc)
 
     def test_constructor_clamps(self):
         assert PowerSeries(F7, {1: 1}, EXACT + 5).trunc == EXACT
         assert PowerSeries(F7, {}, EXACT).order() == EXACT
+        nothing = PowerSeries(F7, {0: 1, 1: 1}, -5)
+        assert nothing.trunc == -1 and nothing.is_zero()
+        assert nothing.order() == 0
+        with pytest.raises(PrecisionError):
+            nothing.coeff(0)
+
+    def test_derivative_below_trunc_one_knows_nothing(self):
+        # the constant term of f' is f_1, which trunc 0 does not know
+        assert derivative(qs("t", 1)) == qs("1", 0)
+        assert derivative(qs("t", 0)) == PowerSeries(Q, {}, -1)
+        assert super_derivative(qs("t", 0)) == PowerSeries(Q, {}, -1)
 
 
 class TestReversion:
@@ -217,6 +227,13 @@ class TestReversion:
             reversion(qs("t^2"))
         with pytest.raises(NotInvertibleError):
             reversion(parse_series(Z56, "5*t + t^2", 6))
+
+    def test_unknown_linear_coefficient_is_not_read_as_zero(self):
+        for trunc in (0, -1):
+            with pytest.raises(PrecisionError):
+                reversion(qs("t", trunc))
+        with pytest.raises(PrecisionError):
+            reciprocal(qs("1", -1))
 
     def test_round_trip_both_ways(self):
         rng = random.Random(11)

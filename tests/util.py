@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random data and comparisons."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,9 +17,24 @@ from moorealg.errors import (
     PrecisionError,
 )
 from moorealg.moduli import _dvr_reduce
-from moorealg.noncomm import Derivation, GradingContext, NCSeries
-from moorealg.rings import CoeffRing, RingElem
-from moorealg.series import EXACT, PowerSeries, capped, compose, lowered, ps_t
+from moorealg.noncomm import (
+    Derivation,
+    GradingContext,
+    NCEndo,
+    NCSeries,
+    agree_nc,
+    apply_endo,
+)
+from moorealg.rings import CoeffRing, RingElem, format_elem, parse_ring
+from moorealg.series import (
+    EXACT,
+    PowerSeries,
+    capped,
+    compose,
+    lowered,
+    parse_elem,
+    ps_t,
+)
 
 
 def ext(bound):
@@ -27,12 +43,19 @@ def ext(bound):
 
 
 def from_ext(x):
-    """Inverse of ext: infinity is EXACT."""
-    return EXACT if x == math.inf else x
+    """Inverse of ext: infinity is EXACT, and anything below -1 is -1."""
+    return EXACT if x == math.inf else max(x, -1)
+
+
+def times(a, b):
+    """Product of extended integers: a factor 0 means the term never appears,
+    even against infinity."""
+    return 0 if 0 in (a, b) else a * b
 
 
 def check_bound(got, expected, *input_bounds):
-    """got must be EXACT for exact inputs and match the extended-integer formula."""
+    """got must be EXACT for exact inputs and match the extended-integer
+    formula, clamped at -1 ("nothing known")."""
     if all(b == EXACT for b in input_bounds):
         assert got == EXACT
     assert got == from_ext(expected)
@@ -123,16 +146,6 @@ def rand_odd_series(ring, rng, trunc, unit_linear=False, density=0.6):
     return PowerSeries(ring, coeffs, trunc)
 
 
-def agree_nc(a: NCSeries, b: NCSeries, upto=None) -> bool:
-    """Wordwise equality on the range both sides actually know."""
-    n = min(a.maxlen, b.maxlen)
-    if upto is not None:
-        n = min(n, upto)
-    words = {w for w in a.terms if len(w) <= n} | {w for w in b.terms if len(w) <= n}
-    zero = a.ring.zero()
-    return all(a.terms.get(w, zero) == b.terms.get(w, zero) for w in words)
-
-
 def agree_derivation(a: Derivation, b: Derivation, upto=None) -> bool:
     return (
         a.parity == b.parity
@@ -221,8 +234,8 @@ def reversion_by_coefficients(f: PowerSeries) -> PowerSeries:
     """
     if 0 in f.coeffs:
         raise NotInvertibleError("series has a constant term")
-    f1 = f.coeffs.get(1)
-    if f1 is None or not f1.is_unit():
+    f1 = f.coeff(1)
+    if not f1.is_unit():
         raise NotInvertibleError("linear coefficient is not a unit")
     n = f.trunc
     if n == EXACT:
@@ -342,3 +355,27 @@ def inverse_by_geometric_series(x):
         term = term * (-n)
         acc = acc + term
     return acc * minv
+
+
+def series_to_json(f: PowerSeries) -> dict:
+    return {
+        "ring": f.ring.spec(),
+        "trunc": f.trunc,
+        "coeffs": {str(i): format_elem(c) for i, c in sorted(f.coeffs.items())},
+    }
+
+
+def series_from_json(data) -> PowerSeries:
+    if isinstance(data, str):
+        data = json.loads(data)
+    ring = parse_ring(data["ring"])
+    trunc = int(data["trunc"])
+    coeffs = {}
+    for k, text in data.get("coeffs", {}).items():
+        coeffs[int(k)] = parse_elem(ring, text)
+    return PowerSeries(ring, coeffs, trunc)
+
+
+def endo_compose(phi: NCEndo, psi: NCEndo) -> NCEndo:
+    """phi after psi: letter images of psi, pushed through phi."""
+    return NCEndo(apply_endo(phi, psi.imageTau), apply_endo(phi, psi.imageT))
