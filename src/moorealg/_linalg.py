@@ -32,9 +32,9 @@ def echelon_rank(rows) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = rows[rank][col].inverse()
         prow = [e * inv for e in rows[rank]]
-        rows[rank] = prow
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
+        # the rank needs only the rows below the pivot cleared
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
                 c = rows[r][col]
                 rows[r] = [a - c * b for a, b in zip(rows[r], prow)]
         rank += 1
@@ -43,6 +43,7 @@ def echelon_rank(rows) -> int:
     return rank
 
 
+# no library caller; kept because the benchmark's tracer wraps it by name
 def mat_mul(a, b, zero):
     """Plain exact matrix product; `zero` is the ring's zero element."""
     if not a or not b:
@@ -58,6 +59,3 @@ def mat_mul(a, b, zero):
         out.append(acc)
     return out
 
-
-def is_zero_matrix(m) -> bool:
-    return all(not e for row in m for e in row)

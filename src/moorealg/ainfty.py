@@ -226,7 +226,7 @@ class _ComponentBag:
 
     __slots__ = ("ring", "basis", "components", "arity_bound")
 
-    def _init_bag(self, ring, basis, components, arity_bound, degree_of):
+    def _init_bag(self, ring, basis, components, arity_bound):
         arity_bound = capped(arity_bound)
         self.ring = ring
         self.basis = basis
@@ -237,7 +237,7 @@ class _ComponentBag:
                 raise IncompatibleRingError("component over a different base")
             if comp.arity != k:
                 raise StructureError(f"component at key {k} has arity {comp.arity}")
-            if comp.degree != degree_of(k):
+            if comp.degree != self._degree_of(k):
                 raise StructureError(f"component at arity {k} has a wrong degree")
             if k > arity_bound:
                 continue
@@ -269,7 +269,7 @@ class AInfStructure(_ComponentBag):
     def __init__(self, ring, basis, components, arity_bound=EXACT):
         if 0 in dict(components):
             raise StructureError("structures have no arity-0 component")
-        self._init_bag(ring, basis, components, arity_bound, lambda k: -1)
+        self._init_bag(ring, basis, components, arity_bound)
 
     def _degree_of(self, k):
         return -1
@@ -286,7 +286,7 @@ class HochschildCochain(_ComponentBag):
 
     def __init__(self, ring, basis, degree, components, arity_bound=EXACT):
         self.degree = degree
-        self._init_bag(ring, basis, components, arity_bound, lambda k: degree)
+        self._init_bag(ring, basis, components, arity_bound)
 
     def _degree_of(self, k):
         return self.degree
@@ -335,62 +335,9 @@ class HochschildCochain(_ComponentBag):
         )
 
 
-def structure_cochain(m: AInfStructure) -> HochschildCochain:
-    """The structure viewed as a degree -1 cochain."""
-    return HochschildCochain(m.ring, m.basis, -1, m.components, m.arity_bound)
-
-
-# -- coderivation reconstruction ------------------------------------------
-
-
-def coderivation_extend(m: AInfStructure, word) -> dict:
-    """Value of the extended coderivation on one tensor word.
-
-    Returns a sparse bar vector {tensor word tuple: coefficient}: the sum
-    over insertion positions and arities, each insertion signed by the
-    suspended parity of the skipped prefix.
-    """
-    word = tuple(word)
-    basis = m.basis
-    n = len(word)
-    out = {}
-    ppar = 0
-    for i in range(n):
-        if i:
-            ppar = (ppar + basis.sparity(word[i - 1])) % 2
-        top = min(n - i, m.max_arity())
-        for k in range(1, top + 1):
-            inner = m.components.get(k)
-            if inner is None:
-                continue
-            vec = inner.table.get(word[i:i + k])
-            if not vec:
-                continue
-            for name, c in vec.items():
-                if ppar:
-                    c = -c
-                w = word[:i] + (name,) + word[i + k:]
-                s = out.get(w)
-                tot = c if s is None else s + c
-                if tot.terms:
-                    out[w] = tot
-                elif w in out:
-                    del out[w]
-    return out
-
-
 def structure_square(m: AInfStructure) -> dict:
     """Arity-indexed components of the structure composed with itself."""
-    out = {}
-    top = m.max_arity()
-    for i, mi in m.components.items():
-        for j, mj in m.components.items():
-            n = i + j - 1
-            if n > top:
-                continue
-            comp = compose_components(mi, mj)
-            s = out.get(n)
-            out[n] = comp if s is None else s + comp
+    out = _big_compose(m.components, m.components, m.max_arity())
     return {n: comp for n, comp in out.items() if not comp.is_zero()}
 
 
@@ -433,7 +380,7 @@ def is_unital(m: AInfStructure) -> bool:
 # -- Hochschild complex ---------------------------------------------------
 
 
-def _big_compose(outer_comps, inner_comps, ring, basis, bound):
+def _big_compose(outer_comps, inner_comps, bound):
     """All-arity slot composition, grouped by resulting arity."""
     out = {}
     for i, ci in outer_comps.items():
@@ -461,8 +408,8 @@ def hochschild_differential(c: HochschildCochain, m: AInfStructure) -> Hochschil
         raise IncompatibleRingError("cochain and structure over different bases")
     nm = lowered(m.arity_bound, 1) if 0 in c.components else m.arity_bound
     bound = min(c.arity_bound, nm)
-    first = _big_compose(c.components, m.components, c.ring, c.basis, bound)
-    second = _big_compose(m.components, c.components, c.ring, c.basis, bound)
+    first = _big_compose(c.components, m.components, bound)
+    second = _big_compose(m.components, c.components, bound)
     sign = -1 if c.degree % 2 else 1
     out = {}
     for n in set(first) | set(second):

@@ -6,7 +6,10 @@ u'(t).  Two routes are implemented: the closed form (hh_closed_form),
 which over Z/p^K decides between a residue-field algebra and a finite
 free quotient cut out by a distinguished polynomial, and a brute-force
 kernel/image computation on normalized derivations over a field
-(hh_bruteforce).
+(hh_bruteforce).  The brute-force route brackets the structure
+derivation with basis derivations on words (noncomm) and never forms
+u', so comparing its dimensions with quotient_dims (the quotient by
+u' read degree by degree) is an independent check of that reading.
 
 Over a field with nonzero linear coefficient the derivative is an
 invertible series and the quotient collapses to 0; the interesting
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._linalg import echelon_rank, is_zero_matrix, mat_mul
+from ._linalg import echelon_rank
 from .errors import (
     FieldRequiredError,
     InternalError,
@@ -29,6 +32,13 @@ from .errors import (
     PrecisionError,
     StructureError,
     ZeroDivisorError,
+)
+from .noncomm import (
+    Derivation,
+    derivation_commutator,
+    moore_mstar,
+    nc_word,
+    nc_zero,
 )
 from .rings import CoeffRing
 from .series import (
@@ -45,6 +55,7 @@ __all__ = [
     "HHReport",
     "hh_bruteforce",
     "hh_closed_form",
+    "quotient_dims",
     "weierstrass_factor",
 ]
 
@@ -241,14 +252,35 @@ def hh_closed_form(M) -> HHReport:
     )
 
 
+def quotient_dims(u: PowerSeries, maxdeg: int) -> list:
+    """Per-degree dimensions of the quotient by u' through t^maxdeg.
+
+    Degree j survives exactly when it lies below the t-order of u'.
+    Every coefficient is read through coeff(), so a u' not known to
+    degree maxdeg raises PrecisionError.
+    """
+    up = derivative(u)
+    dims = []
+    alive = 1
+    for j in range(maxdeg + 1):
+        if up.coeff(j):
+            alive = 0
+        dims.append(alive)
+    return dims
+
+
 def hh_bruteforce(M, maxdeg: int):
     """Per-degree cohomology dimensions from the derivation complex.
 
-    Normalized derivations in two polynomial coordinates (A, B) of
-    t-degree <= maxdeg; the bracket with the structure sends (A, B) to
-    (u'*B, 0).  Assembles that matrix exactly, checks it squares to
-    zero, and returns the surviving dimension in each t-degree of the
-    first coordinate: 1 below the t-order of u', 0 from there on.
+    Works on the normalized derivations xi = (A(t), B(t)) of t-degree
+    <= maxdeg, xi(T) = A, xi(t) = B, with the differential
+    xi -> [m, xi] for the structure derivation m = moore_mstar(M),
+    computed on words by derivation_commutator; u' is never formed.
+    Each basis derivation (t^j, 0) must be closed, and the image of
+    (0, t^i) is read off its value on T as coefficients of t^j,
+    j <= maxdeg.  Returns the surviving dimension in each t-degree j of
+    the first coordinate: one closed generator less the rank the image
+    gains at column j.
     """
     if M.kind != "even":
         raise StructureError("cohomology analysis covers even data only")
@@ -260,20 +292,27 @@ def hh_bruteforce(M, maxdeg: int):
         raise StructureError("maxdeg must be nonnegative")
     if u.trunc < maxdeg + 1:
         raise PrecisionError("truncation too small for the requested degrees")
-    up = derivative(u)
-    dim = maxdeg + 1
-    zero = ring.zero()
-    rows = [[zero] * (2 * dim) for _ in range(dim)]
-    for i in range(dim):
-        img = [zero] * (2 * dim)
-        for j, c in up.coeffs.items():
-            if j + i <= maxdeg:
-                img[j + i] = c
-        rows.append(img)
-    if not is_zero_matrix(mat_mul(rows, rows, zero)):
-        raise InternalError("the differential fails to square to zero")
+    # longer words cannot reach the coordinates t^j, j <= maxdeg; basis
+    # derivations bounded at maxdeg let the brackets skip words past them
+    m = moore_mstar(M).truncated(maxdeg + 1)
+    zero = nc_zero(ring, m.grading, maxdeg)
+    rows = []
+    closed = []
+    for i in range(maxdeg + 1):
+        ti = nc_word(ring, m.grading, "t" * i, maxlen=maxdeg)
+        img = derivation_commutator(m, Derivation(zero, ti, 0))
+        stray = [w for w in img.onTau.terms if "T" in w] + list(img.onT.terms)
+        if stray:
+            raise InternalError(
+                f"the image of (0, t^{i}) leaves the coordinates (t^j, 0): {stray[0]!r}"
+            )
+        rows.append([img.onTau.coeff("t" * j) for j in range(maxdeg + 1)])
+        bracket = derivation_commutator(m, Derivation(ti, zero, 1))
+        closed.append(bracket.onTau.is_zero() and bracket.onT.is_zero())
     dims = []
-    for j in range(dim):
-        col = [[rows[dim + i][j]] for i in range(dim)]
-        dims.append(1 - echelon_rank(col))
+    prev = 0
+    for j in range(maxdeg + 1):
+        rank = echelon_rank([row[: j + 1] for row in rows])
+        dims.append(int(closed[j]) - (rank - prev))
+        prev = rank
     return dims

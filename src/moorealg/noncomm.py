@@ -259,15 +259,6 @@ def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     return NCSeries(a.ring, a.grading, out, n)
 
 
-def commutator(a: NCSeries, b: NCSeries) -> NCSeries:
-    """Graded commutator ab - (-1)^(|a||b|) ba; operands must be homogeneous."""
-    pa, pb = a.parity(), b.parity()
-    sign = -1 if (pa or 0) * (pb or 0) % 2 else 1
-    lhs = nc_mul(a, b)
-    rhs = nc_mul(b, a)
-    return lhs - rhs if sign > 0 else lhs + rhs
-
-
 # -- derivations ----------------------------------------------------------
 
 
@@ -295,13 +286,6 @@ class Derivation:
     @property
     def grading(self):
         return self.onTau.grading
-
-    @property
-    def normalized(self) -> bool:
-        """True when neither image mentions the suspension letter."""
-        return not any(
-            "T" in w for img in (self.onTau, self.onT) for w in img.terms
-        )
 
     def image(self, ch: str) -> NCSeries:
         return self.onTau if ch == "T" else self.onT
@@ -440,14 +424,6 @@ class NCEndo:
     @property
     def grading(self):
         return self.imageTau.grading
-
-    @property
-    def normalized(self) -> bool:
-        """True for the shape T -> T + (words in t), t -> (words in t)."""
-        shift = self.imageTau - nc_word(self.ring, self.grading, "T")
-        if any("T" in w for w in shift.terms):
-            return False
-        return not any("T" in w for w in self.imageT.terms)
 
     def image(self, ch: str) -> NCSeries:
         return self.imageTau if ch == "T" else self.imageT

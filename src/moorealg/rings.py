@@ -277,14 +277,6 @@ class RingElem:
         """Multiply by the image of the integer n."""
         return self * self.ring.from_int(n)
 
-    def power(self, n: int) -> "RingElem":
-        if n < 0:
-            return self.inverse().power(-n)
-        acc = self.ring.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     # -- units and valuation ---------------------------------------------
 
     def is_unit(self) -> bool:

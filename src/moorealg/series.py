@@ -184,10 +184,6 @@ class PowerSeries:
         return PowerSeries(self.ring, {i + k: c for i, c in self.coeffs.items()}, n)
 
 
-def ps_zero(ring: CoeffRing, trunc: int) -> PowerSeries:
-    return PowerSeries(ring, {}, trunc)
-
-
 def ps_t(ring: CoeffRing, trunc: int) -> PowerSeries:
     return PowerSeries(ring, {1: ring.one()}, trunc)
 

@@ -24,7 +24,6 @@ from moorealg.ainfty import (
     GradedBasis,
     HochschildCochain,
     MultiComponent,
-    coderivation_extend,
     compose_components,
     dualize,
     dualize_back,
@@ -34,7 +33,6 @@ from moorealg.ainfty import (
     normalize_cochain,
     s_op,
     stasheff_defect,
-    structure_cochain,
     structure_square,
     zero_component,
 )
@@ -44,9 +42,11 @@ from util import (
     agree_derivation,
     bar_homotopy_word,
     check_bound,
+    coderivation_extend,
     ext,
     h_op,
     rand_cochain,
+    structure_cochain,
 )
 
 Q = CoeffRing("Q")

@@ -11,9 +11,11 @@ from moorealg.errors import (
     StructureError,
     ZeroDivisorError,
 )
+from moorealg import hochschild
 from moorealg.hochschild import (
     hh_bruteforce,
     hh_closed_form,
+    quotient_dims,
     weierstrass_factor,
 )
 from moorealg.moduli import MooreAlgebra, act
@@ -42,16 +44,6 @@ def S(ring, coeffs, trunc):
 
 def even(ring, coeffs, trunc, d=0):
     return MooreAlgebra.even(S(ring, coeffs, trunc), d)
-
-
-def quotient_dims(u, maxdeg):
-    # independent oracle: series quotient by u' keeps exactly the degrees
-    # below the t-order of u'
-    up = derivative(u)
-    if not up.coeffs:
-        return [1] * (maxdeg + 1)
-    m = min(up.coeffs)
-    return [1 if j < m else 0 for j in range(maxdeg + 1)]
 
 
 class TestWeierstrassFactor:
@@ -225,6 +217,43 @@ class TestBruteforce:
                     continue
                 M = MooreAlgebra.even(u)
                 assert hh_bruteforce(M, 6) == quotient_dims(u, 6)
+
+    def test_never_reads_the_series_derivative(self, monkeypatch):
+        # the complex is built on words, so it cannot inherit a fault of
+        # the series derivative that the quotient by u' is read from
+        cases = [
+            (even(F5, {2: 1, 3: 1}, 10), 6),
+            (even(F5, {5: 1, 10: 2}, 12), 6),
+            (even(Q, {1: 1, 4: 3}, 8, d=2), 5),
+        ]
+        want = [quotient_dims(M.u, n) for M, n in cases]
+
+        def refuse(f):
+            raise AssertionError("the brute-force route read u'")
+
+        monkeypatch.setattr(hochschild, "derivative", refuse)
+        assert [hh_bruteforce(M, n) for M, n in cases] == want
+
+    def test_precision_boundary(self):
+        for maxdeg in (0, 3, 6):
+            with pytest.raises(PrecisionError):
+                hh_bruteforce(even(F7, {3: 1}, maxdeg), maxdeg)
+            dims = hh_bruteforce(even(F7, {3: 1}, maxdeg + 1), maxdeg)
+            assert dims == [1, 1, 0, 0, 0, 0, 0][: maxdeg + 1]
+
+    def test_cell_degree_two(self):
+        for ring, coeffs in ((F5, {2: 1, 3: 1}), (Q, {3: 2, 4: 1}), (F3, {3: 1})):
+            M0, M2 = even(ring, coeffs, 10), even(ring, coeffs, 10, d=2)
+            assert hh_bruteforce(M2, 6) == hh_bruteforce(M0, 6)
+            assert hh_bruteforce(M2, 6) == quotient_dims(M2.u, 6)
+        assert hh_bruteforce(even(Q, {3: 2, 4: 1}, 10, d=2), 4) == [1, 1, 0, 0, 0]
+
+    def test_graded_field_two_v_powers(self):
+        # u = v^2 t^5 + 3 v t^7: the t^5 term dies in u' over F5, so u'
+        # starts with 21 v t^6 = v t^6
+        M = even(F5V, {5: F5V.el({2: 1}), 7: F5V.el({1: 3})}, 10)
+        assert hh_bruteforce(M, 8) == [1] * 6 + [0] * 3
+        assert hh_bruteforce(M, 8) == quotient_dims(M.u, 8)
 
     def test_gates(self):
         with pytest.raises(FieldRequiredError):

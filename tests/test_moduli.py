@@ -45,13 +45,13 @@ from moorealg.series import (
     compose,
     format_series,
     ps_t,
-    ps_zero,
     super_derivative,
 )
 
 from util import (
     agree_derivation,
     digit_sweep_by_probes,
+    ps_zero,
     rand_even_series,
     rand_odd_series,
     rand_series,

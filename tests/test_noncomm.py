@@ -20,7 +20,6 @@ from moorealg.noncomm import (
     NCSeries,
     apply_endo,
     check_square_zero,
-    commutator,
     conjugate,
     derivation_apply,
     derivation_commutator,
@@ -40,6 +39,7 @@ from util import (
     agree_derivation,
     agree_nc,
     check_bound,
+    commutator,
     endo_compose,
     ext,
     from_ext,

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 from moorealg.ainfty import (
+    AInfStructure,
     HochschildCochain,
     MultiComponent,
     hochschild_differential,
@@ -24,6 +25,7 @@ from moorealg.noncomm import (
     NCSeries,
     agree_nc,
     apply_endo,
+    nc_mul,
 )
 from moorealg.rings import CoeffRing, RingElem, format_elem, parse_ring
 from moorealg.series import (
@@ -379,3 +381,57 @@ def series_from_json(data) -> PowerSeries:
 def endo_compose(phi: NCEndo, psi: NCEndo) -> NCEndo:
     """phi after psi: letter images of psi, pushed through phi."""
     return NCEndo(apply_endo(phi, psi.imageTau), apply_endo(phi, psi.imageT))
+
+
+def ps_zero(ring: CoeffRing, trunc: int) -> PowerSeries:
+    return PowerSeries(ring, {}, trunc)
+
+
+def commutator(a: NCSeries, b: NCSeries) -> NCSeries:
+    """Graded commutator ab - (-1)^(|a||b|) ba; operands must be homogeneous."""
+    pa, pb = a.parity(), b.parity()
+    sign = -1 if (pa or 0) * (pb or 0) % 2 else 1
+    lhs = nc_mul(a, b)
+    rhs = nc_mul(b, a)
+    return lhs - rhs if sign > 0 else lhs + rhs
+
+
+def structure_cochain(m: AInfStructure) -> HochschildCochain:
+    """The structure viewed as a degree -1 cochain."""
+    return HochschildCochain(m.ring, m.basis, -1, m.components, m.arity_bound)
+
+
+def coderivation_extend(m: AInfStructure, word) -> dict:
+    """Value of the extended coderivation on one tensor word.
+
+    Returns a sparse bar vector {tensor word tuple: coefficient}: the sum
+    over insertion positions and arities, each insertion signed by the
+    suspended parity of the skipped prefix.
+    """
+    word = tuple(word)
+    basis = m.basis
+    n = len(word)
+    out = {}
+    ppar = 0
+    for i in range(n):
+        if i:
+            ppar = (ppar + basis.sparity(word[i - 1])) % 2
+        top = min(n - i, m.max_arity())
+        for k in range(1, top + 1):
+            inner = m.components.get(k)
+            if inner is None:
+                continue
+            vec = inner.table.get(word[i:i + k])
+            if not vec:
+                continue
+            for name, c in vec.items():
+                if ppar:
+                    c = -c
+                w = word[:i] + (name,) + word[i + k:]
+                s = out.get(w)
+                tot = c if s is None else s + c
+                if tot.terms:
+                    out[w] = tot
+                elif w in out:
+                    del out[w]
+    return out
