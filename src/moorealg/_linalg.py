@@ -10,14 +10,22 @@ non-units leaves the rank uncertified and raises.
 from .errors import RankUndeterminedError
 
 
-def echelon_rank(rows) -> int:
-    """Number of unit pivots of a matrix (list of RingElem rows)."""
+def pivot_columns(rows) -> list:
+    """Pivot columns of one forward elimination pass, in increasing order.
+
+    The pass over the first j + 1 columns is the same as the pass over
+    the matrix cut to those columns, so the rank of every column prefix
+    is the number of pivots up to its last column.  A column with
+    nonzero entries below the pivots but no unit among them raises
+    RankUndeterminedError, at the first such column.
+    """
     rows = [list(r) for r in rows if any(r)]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for r in range(rank, len(rows)):
             if rows[r][col] and rows[r][col].is_unit():
@@ -37,10 +45,16 @@ def echelon_rank(rows) -> int:
             if rows[r][col]:
                 c = rows[r][col]
                 rows[r] = [a - c * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return pivots
+
+
+# no library caller; kept because the tests and the benchmark's tracer use it by name
+def echelon_rank(rows) -> int:
+    """Number of unit pivots of a matrix (list of RingElem rows)."""
+    return len(pivot_columns(rows))
 
 
 # no library caller; kept because the benchmark's tracer wraps it by name

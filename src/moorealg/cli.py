@@ -17,15 +17,14 @@ import os
 import random
 import sys
 
+from ._draws import rand_cochain, rand_series
 from .ainfty import (
     GradedBasis,
-    HochschildCochain,
-    MultiComponent,
     dualize,
     is_normalized,
     normalize_cochain,
 )
-from .errors import InternalError, MooreError, ParseError
+from .errors import InternalError, MooreError, ParseError, WildCaseError
 from .hochschild import hh_bruteforce, hh_closed_form, quotient_dims
 from .moduli import (
     MooreAlgebra,
@@ -288,38 +287,6 @@ def _cmd_verify_universal(opt):
     }
 
 
-def _rand_elem(ring, rng):
-    if ring.mode == "Q":
-        return ring.from_int(rng.randrange(-4, 5))
-    return ring.from_int(rng.randrange(ring.modulus))
-
-
-def _rand_unit(ring, rng):
-    if ring.mode == "Q":
-        return ring.from_int(rng.choice((1, -1)) * rng.randrange(1, 5))
-    if ring.mode == "Zp":
-        return ring.from_int(rng.randrange(1, ring.p))
-    return ring.from_int(rng.randrange(1, ring.modulus))
-
-
-def _rand_series(ring, rng, trunc, parity=None, unit_linear=False, density=0.7):
-    start = 1
-    step = 1
-    if parity == "even":
-        start, step = 2, 2
-    elif parity == "odd":
-        step = 2
-    coeffs = {}
-    for i in range(start, trunc + 1, step):
-        if rng.random() < density:
-            e = _rand_elem(ring, rng)
-            if e:
-                coeffs[i] = e
-    if unit_linear:
-        coeffs[1] = _rand_unit(ring, rng)
-    return PowerSeries(ring, coeffs, trunc)
-
-
 def _cmd_normalize_cochain(opt):
     ring = opt.ring()
     d = _default_d("even", opt)
@@ -330,22 +297,7 @@ def _cmd_normalize_cochain(opt):
     u_text = opt.get("series", "t")
     u = parse_series(ring, str(u_text), opt.trunc())
     m = dualize(moore_mstar(MooreAlgebra.even(u, d)), basis)
-    rng = random.Random(seed)
-    names = basis.names
-    comps = {}
-    # parity-homogeneous random cochain: output parity follows the input
-    # word's suspended parity shifted by the cochain degree
-    for k in range(max_arity + 1):
-        table = {}
-        for _ in range(rng.randint(1, 3)):
-            word = tuple(rng.choice(names) for _ in range(k))
-            par = (basis.word_sparity(word) + degree) % 2
-            targets = [n for n in names if basis.sparity(n) == par]
-            if not targets:
-                continue
-            table.setdefault(word, {})[rng.choice(targets)] = _rand_elem(ring, rng)
-        comps[k] = MultiComponent(ring, basis, k, degree, table)
-    c = HochschildCochain(ring, basis, degree, comps, max_arity + 2)
+    c = rand_cochain(ring, basis, random.Random(seed), degree, max_arity)
     norm, witness = normalize_cochain(c, m)
     if not is_normalized(norm):
         raise InternalError("normalization did not land in normalized cochains")
@@ -389,10 +341,10 @@ def _suite_action(rng):
     F7 = CoeffRing("Fp", 7)
     odd = GradingContext(1)
     for _ in range(10):
-        A = _rand_series(F7, rng, 8, parity="even")
-        B = _rand_series(F7, rng, 8, parity="even")
-        G = _rand_series(F7, rng, 8, parity="odd")
-        F = _rand_series(F7, rng, 8, parity="odd", unit_linear=True)
+        A = rand_series(F7, rng, 8, ord_min=2, step=2)
+        B = rand_series(F7, rng, 8, ord_min=2, step=2)
+        G = rand_series(F7, rng, 8, step=2)
+        F = rand_series(F7, rng, 8, step=2, unit_linear=True)
         Ap, Bp = act_full(A, B, G, F)
         got = conjugate(
             normalized_endo(odd, G, F), moore_mstar(MooreAlgebra.odd(v=B, w=A))
@@ -409,19 +361,14 @@ def _suite_char0_orbits(rng):
     Q = CoeffRing("Q")
     for _ in range(8):
         n = rng.randrange(2, 5)
-        coeffs = {n: Q.from_int(rng.choice((1, 2, -1, 3)))}
-        for i in range(n + 1, 11):
-            if rng.random() < 0.6:
-                e = _rand_elem(Q, rng)
-                if e:
-                    coeffs[i] = e
-        u = PowerSeries(Q, coeffs, 10)
+        lead = PowerSeries(Q, {n: Q.from_int(rng.choice((1, 2, -1, 3)))}, 10)
+        u = lead + rand_series(Q, rng, 10, ord_min=n + 1, density=0.6)
         cf = canonicalize_char0(u)
         if compose(u, cf.witness) != cf.form:
             raise InternalError("canonical witness does not reproduce the form")
         inv = orbit_invariant_char0(MooreAlgebra.even(u))
         for _ in range(3):
-            f = _rand_series(Q, rng, 10, unit_linear=True)
+            f = rand_series(Q, rng, 10, unit_linear=True)
             if orbit_invariant_char0(act(MooreAlgebra.even(u), f)) != inv:
                 raise InternalError("orbit invariant moved under the action")
     return 8
@@ -430,21 +377,21 @@ def _suite_char0_orbits(rng):
 def _suite_dvr(rng):
     Z56 = CoeffRing("Zp", 5, 6)
     for _ in range(4):
-        coeffs = {1: Z56.from_int(5 * rng.randrange(1, 5))}
-        for i in range(2, 11):
-            if rng.random() < 0.6:
-                e = _rand_elem(Z56, rng)
-                if e:
-                    coeffs[i] = e
-        u = PowerSeries(Z56, coeffs, 10)
-        cf = canonicalize_dvr(u)
+        while True:
+            u1 = PowerSeries(Z56, {1: Z56.from_int(5 * rng.randrange(1, 5))}, 10)
+            u = u1 + rand_series(Z56, rng, 10, ord_min=2, density=0.6)
+            try:
+                cf = canonicalize_dvr(u)
+            except WildCaseError:
+                continue  # the anchor degree is divisible by 5: draw again
+            break
         if cf.kind not in ("trivial", "canonical"):
             raise InternalError("valuation-ring form is neither trivial nor canonical")
         again = canonicalize_dvr(cf.form)
         if again.form.coeffs != cf.form.coeffs:
             raise InternalError("canonicalization is not idempotent")
         for _ in range(2):
-            f = _rand_series(Z56, rng, 10, unit_linear=True)
+            f = rand_series(Z56, rng, 10, unit_linear=True)
             moved = canonicalize_dvr(compose(u, f))
             if moved.form.coeffs != cf.form.coeffs or moved.kind != cf.kind:
                 raise InternalError("canonical form moved along the orbit")
@@ -454,7 +401,7 @@ def _suite_dvr(rng):
 def _suite_hh(rng):
     F5 = CoeffRing("Fp", 5)
     for _ in range(8):
-        u = _rand_series(F5, rng, 8, unit_linear=rng.random() < 0.5)
+        u = rand_series(F5, rng, 8, unit_linear=rng.random() < 0.5)
         if 1 not in u.coeffs:
             u = PowerSeries(F5, {**u.coeffs, 2: F5.one()}, 8)
         M = MooreAlgebra.even(u)
@@ -466,7 +413,7 @@ def _suite_hh(rng):
 def _suite_reversion(rng):
     for ring in (CoeffRing("Q"), CoeffRing("Fp", 7)):
         for _ in range(5):
-            f = _rand_series(ring, rng, 12, unit_linear=True)
+            f = rand_series(ring, rng, 12, unit_linear=True)
             g = reversion(f)
             if compose(f, g) != ps_t(ring, 12):
                 raise InternalError("reversion failed the round trip")

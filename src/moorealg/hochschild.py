@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._linalg import echelon_rank
+from ._linalg import pivot_columns
 from .errors import (
     FieldRequiredError,
     InternalError,
@@ -309,10 +309,6 @@ def hh_bruteforce(M, maxdeg: int):
         rows.append([img.onTau.coeff("t" * j) for j in range(maxdeg + 1)])
         bracket = derivation_commutator(m, Derivation(ti, zero, 1))
         closed.append(bracket.onTau.is_zero() and bracket.onT.is_zero())
-    dims = []
-    prev = 0
-    for j in range(maxdeg + 1):
-        rank = echelon_rank([row[: j + 1] for row in rows])
-        dims.append(int(closed[j]) - (rank - prev))
-        prev = rank
-    return dims
+    # the rank of the rows cut to columns 0..j grows by one exactly at a pivot column j
+    pivots = set(pivot_columns(rows))
+    return [int(closed[j]) - (j in pivots) for j in range(maxdeg + 1)]

@@ -379,10 +379,6 @@ def parse_ring(text: str) -> CoeffRing:
 # -- formatting ------------------------------------------------------------
 
 
-def _fmt_base(ring: CoeffRing, c) -> str:
-    return str(c)
-
-
 def _fmt_monomial(ring: CoeffRing, k, c) -> str:
     if ring.mode == "Poly":
         parts = []
@@ -392,17 +388,17 @@ def _fmt_monomial(ring: CoeffRing, k, c) -> str:
             elif e:
                 parts.append(f"{name}^{e}")
         if not parts:
-            return _fmt_base(ring, c)
+            return str(c)
         body = "*".join(parts)
         if c == 1:
             return body
-        return f"{_fmt_base(ring, c)}*{body}"
+        return f"{c}*{body}"
     if k == 0:
-        return _fmt_base(ring, c)
+        return str(c)
     vp = "v" if k == 1 else f"v^{k}"
     if c == 1:
         return vp
-    return f"{_fmt_base(ring, c)}*{vp}"
+    return f"{c}*{vp}"
 
 
 def format_elem(x: RingElem) -> str:

@@ -48,8 +48,6 @@ from util import (
     agree_derivation,
     h_op,
     rand_cochain,
-    rand_even_series,
-    rand_odd_series,
     rand_series,
 )
 
@@ -106,10 +104,10 @@ def test_criterion_03_action_formula_vs_conjugation():
         rng = random.Random(3001)
         odd = GradingContext(1)
         for _ in range(50):
-            A = rand_even_series(F7, rng, 8)
-            B = rand_even_series(F7, rng, 8)
-            G = rand_odd_series(F7, rng, 8)
-            F = rand_odd_series(F7, rng, 8, unit_linear=True)
+            A = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
+            B = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
+            G = rand_series(F7, rng, 8, step=2, density=0.6)
+            F = rand_series(F7, rng, 8, step=2, unit_linear=True, density=0.6)
             Ap, Bp = act_full(A, B, G, F)
             got = conjugate(
                 normalized_endo(odd, G, F),
@@ -260,8 +258,8 @@ def test_criterion_09_bar_cobar_round_trip():
             assert agree_derivation(back, xi, upto=8)
         for j in range(10):
             ring = F5 if j % 2 else Q
-            v = rand_even_series(ring, rng, 8)
-            w = rand_even_series(ring, rng, 8)
+            v = rand_series(ring, rng, 8, ord_min=2, step=2, density=0.6)
+            w = rand_series(ring, rng, 8, ord_min=2, step=2, density=0.6)
             M = MooreAlgebra.odd(v, w, 1)
             xi = moore_mstar(M)
             back = dualize_back(dualize(xi, GradedBasis.two_cell(1)))

@@ -384,9 +384,23 @@ class TestOtherVerbs:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "normalized: yes" in out1
+        # the cochain drawn over F_p must not move with the generator
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert code == 0
+        assert out == (
+            '{\n  "seed": 3,\n  "degree": 1,\n  "normalized": true,\n'
+            '  "witness_degree": 2,\n  "support": {\n    "0": 1,\n    "1": 1,\n'
+            '    "2": 1\n  }\n}\n'
+        )
 
     def test_selftest(self, capsys):
         code, out, _ = run(["selftest", "--seed", "5"], capsys)
         assert code == 0
         assert "selftest: PASS" in out
         assert out.count("PASS") == 6
+
+    def test_selftest_redraws_wild_input(self, capsys):
+        # seed 3 draws a u over Z/5^6 whose anchor degree 5 is divisible by 5
+        code, out, err = run(["selftest", "--seed", "3"], capsys)
+        assert code == 0, err
+        assert "dvr-canonical-forms: PASS (4 cases)" in out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from moorealg._linalg import echelon_rank
+from moorealg._linalg import echelon_rank, pivot_columns
 from moorealg.errors import RankUndeterminedError
 from moorealg.rings import CoeffRing, RingElem
 
@@ -50,6 +50,15 @@ RANKS = [
 @pytest.mark.parametrize("ring, rows, rank", RANKS)
 def test_rank(ring, rows, rank):
     assert echelon_rank(mat(ring, rows)) == rank
+
+
+@pytest.mark.parametrize("ring, rows, rank", RANKS)
+def test_pivot_columns_give_every_prefix_rank(ring, rows, rank):
+    rows = mat(ring, rows)
+    pivots = pivot_columns(rows)
+    assert len(pivots) == rank
+    for j in range(len(rows[0]) if rows else 0):
+        assert sum(c <= j for c in pivots) == echelon_rank([r[: j + 1] for r in rows])
 
 
 def test_rank_leaves_input_rows_alone():

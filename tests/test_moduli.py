@@ -52,8 +52,6 @@ from util import (
     agree_derivation,
     digit_sweep_by_probes,
     ps_zero,
-    rand_even_series,
-    rand_odd_series,
     rand_series,
 )
 
@@ -190,8 +188,8 @@ class TestAct:
 class TestActFull:
     def test_identity_pair(self):
         rng = random.Random(111)
-        A = rand_even_series(F7, rng, 8)
-        B = rand_even_series(F7, rng, 8)
+        A = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
+        B = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
         Ap, Bp = act_full(A, B, ps_zero(F7, 8), ps_t(F7, 8))
         assert Ap == A and Bp == B
 
@@ -204,8 +202,8 @@ class TestActFull:
     def test_substitution_only(self):
         # with no shift and no letter-mixing the action is plain composition
         rng = random.Random(112)
-        A = rand_even_series(F7, rng, 8)
-        F = rand_odd_series(F7, rng, 8, unit_linear=True)
+        A = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
+        F = rand_series(F7, rng, 8, step=2, unit_linear=True, density=0.6)
         Ap, Bp = act_full(A, ps_zero(F7, 8), ps_zero(F7, 8), F)
         assert Ap == compose(A, F)
         assert Bp.is_zero()
@@ -213,10 +211,10 @@ class TestActFull:
     def test_matches_conjugation(self):
         rng = random.Random(113)
         for _ in range(8):
-            A = rand_even_series(F7, rng, 8)
-            B = rand_even_series(F7, rng, 8)
-            G = rand_odd_series(F7, rng, 8)
-            F = rand_odd_series(F7, rng, 8, unit_linear=True)
+            A = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
+            B = rand_series(F7, rng, 8, ord_min=2, step=2, density=0.6)
+            G = rand_series(F7, rng, 8, step=2, density=0.6)
+            F = rand_series(F7, rng, 8, step=2, unit_linear=True, density=0.6)
             Ap, Bp = act_full(A, B, G, F)
             got = conjugate(
                 normalized_endo(ODD, G, F),

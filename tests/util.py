@@ -2,15 +2,15 @@
 
 import json
 import math
-from fractions import Fraction
 
 from moorealg.ainfty import (
     AInfStructure,
     HochschildCochain,
-    MultiComponent,
     hochschild_differential,
     s_op,
 )
+# the seeded generators live in the library, shared with the CLI
+from moorealg._draws import rand_cochain, rand_elem, rand_series, rand_unit
 from moorealg.errors import (
     CompositionError,
     InternalError,
@@ -78,76 +78,6 @@ def overlap(a: PowerSeries, b: PowerSeries) -> int:
     return min(a.trunc, b.trunc)
 
 
-def rand_scalar(ring: CoeffRing, rng, nonzero=False):
-    """A random base-ring scalar (no v)."""
-    while True:
-        if ring.mode == "Q":
-            x = ring.el({0: Fraction(rng.randint(-9, 9), rng.randint(1, 9))})
-        elif ring.mode == "Fp":
-            x = ring.from_int(rng.randrange(ring.p))
-        elif ring.mode == "Zp":
-            x = ring.from_int(rng.randrange(ring.p ** ring.K))
-        else:
-            raise ValueError("no random scalars in polynomial mode")
-        if x or not nonzero:
-            return x
-
-
-def rand_elem(ring: CoeffRing, rng, nonzero=False):
-    """A random coefficient, using one or two v-monomials in Laurent mode."""
-    while True:
-        if not ring.laurent:
-            x = rand_scalar(ring, rng, nonzero=False)
-        else:
-            x = ring.zero()
-            for _ in range(rng.randint(1, 2)):
-                j = rng.randint(-2, 2)
-                x = x + ring.vpow(j, 1) * rand_scalar(ring, rng)
-        if x or not nonzero:
-            return x
-
-
-def rand_unit(ring: CoeffRing, rng):
-    while True:
-        if ring.laurent:
-            x = ring.vpow(rng.randint(-2, 2), 1) * rand_scalar(ring, rng, nonzero=True)
-        else:
-            x = rand_scalar(ring, rng, nonzero=True)
-        if x.is_unit():
-            return x
-
-
-def rand_series(ring, rng, trunc, ord_min=1, unit_linear=False, density=0.7):
-    """Random truncated series; optionally with a unit linear coefficient."""
-    coeffs = {}
-    for i in range(ord_min, trunc + 1):
-        if rng.random() < density:
-            coeffs[i] = rand_elem(ring, rng)
-    if unit_linear:
-        coeffs[1] = rand_unit(ring, rng)
-    return PowerSeries(ring, coeffs, trunc)
-
-
-def rand_even_series(ring, rng, trunc, density=0.6):
-    """Random series supported on even exponents >= 2."""
-    coeffs = {}
-    for i in range(2, trunc + 1, 2):
-        if rng.random() < density:
-            coeffs[i] = rand_elem(ring, rng)
-    return PowerSeries(ring, coeffs, trunc)
-
-
-def rand_odd_series(ring, rng, trunc, unit_linear=False, density=0.6):
-    """Random series supported on odd exponents."""
-    coeffs = {}
-    for i in range(1, trunc + 1, 2):
-        if rng.random() < density:
-            coeffs[i] = rand_elem(ring, rng)
-    if unit_linear:
-        coeffs[1] = rand_unit(ring, rng)
-    return PowerSeries(ring, coeffs, trunc)
-
-
 def agree_derivation(a: Derivation, b: Derivation, upto=None) -> bool:
     return (
         a.parity == b.parity
@@ -184,32 +114,6 @@ def agree_cochain(a: HochschildCochain, b: HochschildCochain, upto=None) -> bool
         n = min(n, upto)
     arities = {k for k in set(a.components) | set(b.components) if k <= n}
     return all(a.component(k) == b.component(k) for k in arities)
-
-
-def rand_cochain(ring, basis, rng, degree, max_arity=3, bound=None, min_slot=0):
-    """Random parity-homogeneous cochain.
-
-    Output generators are picked so their suspended parity matches the
-    input word parity plus the declared degree; min_slot > 0 keeps the
-    unit out of that many leading slots.
-    """
-    names = basis.names
-    comps = {}
-    for k in range(max_arity + 1):
-        table = {}
-        for _ in range(rng.randint(1, 3)):
-            word = tuple(rng.choice(names) for _ in range(k))
-            if basis.UNIT in word[:min(min_slot, k)]:
-                continue
-            par = (basis.word_sparity(word) + degree) % 2
-            targets = [n for n in names if basis.sparity(n) == par]
-            if not targets:
-                continue
-            table.setdefault(word, {})[rng.choice(targets)] = rand_elem(ring, rng)
-        comps[k] = MultiComponent(ring, basis, k, degree, table)
-    if bound is None:
-        bound = max_arity + 2
-    return HochschildCochain(ring, basis, degree, comps, bound)
 
 
 def h_op(i, c, m):
