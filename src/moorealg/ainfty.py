@@ -9,6 +9,10 @@ degree n is (n + 1) mod 2.  The tensor-word conventions:
     slot composition        sign (-1)^(|inner| * (s(a1)+..+s(ak)))
     differential            [c, m] = c.m - (-1)^|c| m.c
 
+A structure is itself a Hochschild cochain: AInfStructure is the degree
+-1 cochain with no arity-0 component, its Stasheff identity is m.m = 0,
+and like every container here it compares by value.
+
 Arity truncation follows the one precision model of the series module:
 a structure or cochain with arity_bound N promises exact components
 through arity N and says nothing beyond, arity_bound = EXACT marks
@@ -137,7 +141,7 @@ class MultiComponent:
     def coeff(self, word, name) -> RingElem:
         return self.table.get(tuple(word), {}).get(name, self.ring.zero())
 
-    def _combine(self, other, flip: bool):
+    def __add__(self, other):
         if self.ring != other.ring or self.basis != other.basis:
             raise IncompatibleRingError("components over different bases")
         if self.arity != other.arity or self.degree != other.degree:
@@ -146,16 +150,12 @@ class MultiComponent:
         for w, v in other.table.items():
             tgt = out.setdefault(w, {})
             for name, c in v.items():
-                c = -c if flip else c
                 s = tgt.get(name)
                 tgt[name] = c if s is None else s + c
         return MultiComponent(self.ring, self.basis, self.arity, self.degree, out)
 
-    def __add__(self, other):
-        return self._combine(other, False)
-
     def __sub__(self, other):
-        return self._combine(other, True)
+        return self + (-other)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -221,15 +221,16 @@ def compose_components(outer: MultiComponent, inner: MultiComponent) -> MultiCom
     return MultiComponent(outer.ring, basis, arity, degree, out)
 
 
-class _ComponentBag:
-    """Shared shape of structures and cochains: components per arity."""
+class HochschildCochain:
+    """Homogeneous cochain: one component per arity, common total degree."""
 
-    __slots__ = ("ring", "basis", "components", "arity_bound")
+    __slots__ = ("ring", "basis", "degree", "components", "arity_bound")
 
-    def _init_bag(self, ring, basis, components, arity_bound):
+    def __init__(self, ring, basis, degree, components, arity_bound=EXACT):
         arity_bound = capped(arity_bound)
         self.ring = ring
         self.basis = basis
+        self.degree = degree
         self.arity_bound = arity_bound
         comps = {}
         for k, comp in dict(components).items():
@@ -237,7 +238,7 @@ class _ComponentBag:
                 raise IncompatibleRingError("component over a different base")
             if comp.arity != k:
                 raise StructureError(f"component at key {k} has arity {comp.arity}")
-            if comp.degree != self._degree_of(k):
+            if comp.degree != degree:
                 raise StructureError(f"component at arity {k} has a wrong degree")
             if k > arity_bound:
                 continue
@@ -248,7 +249,7 @@ class _ComponentBag:
     def component(self, k: int) -> MultiComponent:
         comp = self.components.get(k)
         if comp is None:
-            return zero_component(self.ring, self.basis, k, self._degree_of(k))
+            return zero_component(self.ring, self.basis, k, self.degree)
         return comp
 
     def max_arity(self) -> int:
@@ -260,57 +261,21 @@ class _ComponentBag:
     def is_zero(self) -> bool:
         return not self.components
 
-
-class AInfStructure(_ComponentBag):
-    """Components m1, m2, ... of degree -1 each; no arity-0 piece."""
-
-    __slots__ = ()
-
-    def __init__(self, ring, basis, components, arity_bound=EXACT):
-        if 0 in dict(components):
-            raise StructureError("structures have no arity-0 component")
-        self._init_bag(ring, basis, components, arity_bound)
-
-    def _degree_of(self, k):
-        return -1
-
-    def __repr__(self):
-        bound = "" if self.arity_bound == EXACT else f", bound {self.arity_bound}"
-        return f"AInfStructure(arities {sorted(self.components)}{bound})"
-
-
-class HochschildCochain(_ComponentBag):
-    """Homogeneous cochain: one component per arity, common total degree."""
-
-    __slots__ = ("degree",)
-
-    def __init__(self, ring, basis, degree, components, arity_bound=EXACT):
-        self.degree = degree
-        self._init_bag(ring, basis, components, arity_bound)
-
-    def _degree_of(self, k):
-        return self.degree
-
-    def _combine(self, other, flip):
+    def __add__(self, other):
         if self.ring != other.ring or self.basis != other.basis:
             raise IncompatibleRingError("cochains over different bases")
         if self.degree != other.degree:
             raise StructureError("degree mismatch in cochain sum")
         bound = min(self.arity_bound, other.arity_bound)
-        out = {}
-        for k in set(self.components) | set(other.components):
-            if k > bound:
-                continue
-            comp = self.component(k)
-            comp = comp - other.component(k) if flip else comp + other.component(k)
-            out[k] = comp
+        out = {
+            k: self.component(k) + other.component(k)
+            for k in set(self.components) | set(other.components)
+            if k <= bound
+        }
         return HochschildCochain(self.ring, self.basis, self.degree, out, bound)
 
-    def __add__(self, other):
-        return self._combine(other, False)
-
     def __sub__(self, other):
-        return self._combine(other, True)
+        return self + other.scaled(-1)
 
     def scaled(self, c) -> "HochschildCochain":
         out = {k: comp.scaled(c) for k, comp in self.components.items()}
@@ -335,9 +300,24 @@ class HochschildCochain(_ComponentBag):
         )
 
 
+class AInfStructure(HochschildCochain):
+    """The degree -1 cochain m1 + m2 + ... with no arity-0 component."""
+
+    __slots__ = ()
+
+    def __init__(self, ring, basis, components, arity_bound=EXACT):
+        if 0 in dict(components):
+            raise StructureError("structures have no arity-0 component")
+        super().__init__(ring, basis, -1, components, arity_bound)
+
+    def __repr__(self):
+        bound = "" if self.arity_bound == EXACT else f", bound {self.arity_bound}"
+        return f"AInfStructure(arities {sorted(self.components)}{bound})"
+
+
 def structure_square(m: AInfStructure) -> dict:
     """Arity-indexed components of the structure composed with itself."""
-    out = _big_compose(m.components, m.components, m.max_arity())
+    out = _big_compose(m.components, m.components, m.arity_bound)
     return {n: comp for n, comp in out.items() if not comp.is_zero()}
 
 
@@ -408,23 +388,13 @@ def hochschild_differential(c: HochschildCochain, m: AInfStructure) -> Hochschil
         raise IncompatibleRingError("cochain and structure over different bases")
     nm = lowered(m.arity_bound, 1) if 0 in c.components else m.arity_bound
     bound = min(c.arity_bound, nm)
-    first = _big_compose(c.components, m.components, bound)
-    second = _big_compose(m.components, c.components, bound)
-    sign = -1 if c.degree % 2 else 1
-    out = {}
-    for n in set(first) | set(second):
-        a = first.get(n)
-        b = second.get(n)
-        if b is not None:
-            b = b.scaled(-sign)
-        if a is None:
-            comp = b
-        elif b is None:
-            comp = a
-        else:
-            comp = a + b
-        out[n] = comp
-    return HochschildCochain(c.ring, c.basis, c.degree - 1, out, bound)
+
+    def composed(outer, inner):
+        comps = _big_compose(outer.components, inner.components, bound)
+        return HochschildCochain(c.ring, c.basis, c.degree - 1, comps, bound)
+
+    first, second = composed(c, m), composed(m, c)
+    return first + second if c.degree % 2 else first - second
 
 
 def is_normalized(c: HochschildCochain, upto=None) -> bool:

@@ -59,7 +59,6 @@ from .series import (
     format_series,
     height,
     is_canonical,
-    is_trivial,
     ps_t,
     reversion,
     super_derivative,
@@ -245,6 +244,23 @@ def _class_rep_fp(c: int, p: int, n: int) -> int:
     return pow(g, a % d, p)
 
 
+def _field_anchor(u: PowerSeries) -> int:
+    """The height n of u over a (graded) field, with u_n a unit."""
+    ring = u.ring
+    if not ring.is_field:
+        raise FieldRequiredError(f"{ring.spec()} is not a (graded) field")
+    if 0 in u.coeffs:
+        raise StructureError("classifying series has a nonzero constant term")
+    n = height(u)
+    if ring.mode == "Fp" and n % ring.p == 0:
+        raise WildCaseError(
+            f"characteristic {ring.p} divides the height {n}; not classified"
+        )
+    if not u.coeffs[n].is_unit():
+        raise NotAUnitError("leading coefficient is not a unit monomial")
+    return n
+
+
 def orbit_invariant_char0(M: MooreAlgebra):
     """The pair (height, leading coefficient modulo n-th powers).
 
@@ -256,17 +272,8 @@ def orbit_invariant_char0(M: MooreAlgebra):
     if M.kind != "even":
         raise StructureError("orbit invariants are defined for even data")
     ring = M.u.ring
-    if not ring.is_field:
-        raise FieldRequiredError(f"{ring.spec()} is not a (graded) field")
-    n = height(M.u)
-    if ring.mode == "Fp" and n % ring.p == 0:
-        raise WildCaseError(
-            f"characteristic {ring.p} divides the height {n}; not classified"
-        )
-    un = M.u.coeffs[n]
-    if not un.is_unit():
-        raise NotAUnitError("leading coefficient is not a unit monomial")
-    ((key, c),) = un.terms.items()
+    n = _field_anchor(M.u)
+    ((key, c),) = M.u.coeffs[n].terms.items()
     if ring.mode == "Q":
         rep = _class_rep_q(c, n)
     else:
@@ -285,36 +292,8 @@ def canonicalize_char0(u: PowerSeries) -> CanonicalForm:
     raises that index, so the loop clears everything up to the
     truncation.  Returns u_n * t^n with the accumulated witness.
     """
-    ring = u.ring
-    if not ring.is_field:
-        raise FieldRequiredError(f"{ring.spec()} is not a (graded) field")
-    if 0 in u.coeffs:
-        raise StructureError("classifying series has a nonzero constant term")
-    n = height(u)
-    if ring.mode == "Fp" and n % ring.p == 0:
-        raise WildCaseError(
-            f"characteristic {ring.p} divides the height {n}; not classified"
-        )
-    un = u.coeffs[n]
-    if not un.is_unit():
-        raise NotAUnitError("leading coefficient is not a unit monomial")
-    inv = un.scaled(n).inverse()
-    cur = u
-    wit = ps_t(ring, u.trunc)
-    while True:
-        tail = [i for i in cur.coeffs if i > n]
-        if not tail:
-            break
-        if cur.trunc == EXACT:
-            raise PrecisionError(
-                "reduction of an exact series does not terminate; truncate the input"
-            )
-        k1 = min(tail)
-        h = PowerSeries(
-            ring, {1: ring.one(), k1 - (n - 1): -(cur.coeffs[k1] * inv)}, EXACT
-        )
-        cur = compose(cur, h)
-        wit = compose(wit, h)
+    n = _field_anchor(u)
+    cur, wit = _reduce_tail(u, ps_t(u.ring, u.trunc), n)
     return CanonicalForm("graded_field", n, cur, wit)
 
 
@@ -341,8 +320,6 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
         raise NoUniformizerError(f"{ring.spec()} has no uniformizer")
     if 0 in u.coeffs:
         raise StructureError("classifying series has a nonzero constant term")
-    if is_trivial(u):
-        return CanonicalForm("trivial", None, u, ps_t(ring, u.trunc))
     p, K = ring.p, ring.K
     pi = ring.uniformizer()
     u1 = u.coeff(1)
@@ -393,27 +370,36 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
     return CanonicalForm("canonical", k, cur, wit)
 
 
-def _dvr_reduce(cur, wit, k):
-    # kill everything above the anchor k, then zero the top base-p digit
-    # of the leading unit coefficient with a linear rescale; wit=None
-    # reduces the form alone
+def _reduce_tail(cur, wit, k):
+    # compose with t - c*t^(s-k+1) until nothing is left above the anchor
+    # k, removing the tail term of least valuation, then lowest exponent
+    # s (over a field every valuation counts as 0); wit=None reduces the
+    # form alone
     ring = cur.ring
-    p, K = ring.p, ring.K
+    dvr = ring.mode == "Zp"
     while True:
         tail = [i for i in cur.coeffs if i > k]
         if not tail:
-            break
+            return cur, wit
         if cur.trunc == EXACT:
             raise PrecisionError(
                 "reduction of an exact series does not terminate; truncate the input"
             )
-        lv = min(cur.coeffs[i].valuation() for i in tail)
-        s1 = min(i for i in tail if cur.coeffs[i].valuation() == lv)
-        c = cur.coeffs[s1] * cur.coeffs[k].scaled(k).inverse()
-        h = PowerSeries(ring, {1: ring.one(), s1 - (k - 1): -c}, EXACT)
+        s = min(tail, key=lambda i: (cur.coeffs[i].valuation() if dvr else 0, i))
+        c = cur.coeffs[s] * cur.coeffs[k].scaled(k).inverse()
+        h = PowerSeries(ring, {1: ring.one(), s - (k - 1): -c}, EXACT)
         cur = compose(cur, h)
         if wit is not None:
             wit = compose(wit, h)
+
+
+def _dvr_reduce(cur, wit, k):
+    # the tail reduction, then zero the top base-p digit of the leading
+    # unit coefficient with a linear rescale; wit=None reduces the form
+    # alone
+    cur, wit = _reduce_tail(cur, wit, k)
+    ring = cur.ring
+    p, K = ring.p, ring.K
     ck = cur.coeffs[k]
     hot = [key for key, c in ck.terms.items() if c % p][0]
     top = ck.terms[hot] // p ** (K - 1)
@@ -478,9 +464,6 @@ def _digit_sweep(cur, wit, k, source):
     p, K = ring.p, ring.K
     N = cur.trunc
     free = range(max(N - k + 2, 2), N + 1)
-    if not free:
-        return cur, wit
-
     positions = [(j, i) for j in range(1, K) for i in range(2, k + 1)]
     responses = {}
     for idx, (j, i) in enumerate(positions):

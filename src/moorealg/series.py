@@ -364,18 +364,12 @@ def height(f: PowerSeries) -> int:
     return min(f.coeffs)
 
 
-def is_trivial(f: PowerSeries) -> bool:
-    """True iff f is exactly pi * t (valuation-ring modes only)."""
-    pi = f.ring.uniformizer()
-    return f.coeffs == {1: pi}
-
-
 def is_canonical(f: PowerSeries):
     """Canonical-shape predicate for valuation-ring series.
 
     Returns (True, n) when f = pi*t + u_2 t^2 + ... + u_n t^n with every
     middle coefficient divisible by pi, u_n a unit, and nothing beyond
-    t^n; (False, None) otherwise.  Disjoint from is_trivial.
+    t^n; (False, None) otherwise.  The trivial form pi*t is not canonical.
     """
     ring = f.ring
     pi = ring.uniformizer()
@@ -537,14 +531,6 @@ def _parse_elem_sum(tk: _Tokens, ring: CoeffRing) -> RingElem:
             raise InternalError("t leaked into a coefficient sum")
         acc = acc + coeff
     return acc
-
-
-def parse_elem(ring: CoeffRing, text: str) -> RingElem:
-    tk = _Tokens(text)
-    e = _parse_elem_sum(tk, ring)
-    if tk.cur != "":
-        raise ParseError(f"trailing input {tk.cur!r}", tk.cur_pos)
-    return e
 
 
 def parse_series(ring: CoeffRing, text: str, trunc: int) -> PowerSeries:

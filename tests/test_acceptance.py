@@ -39,7 +39,6 @@ from moorealg.series import (
     PowerSeries,
     compose,
     is_canonical,
-    is_trivial,
     ps_t,
     reversion,
 )
@@ -47,6 +46,7 @@ from util import (
     agree_cochain,
     agree_derivation,
     h_op,
+    is_trivial,
     rand_cochain,
     rand_series,
 )

@@ -46,7 +46,6 @@ from util import (
     ext,
     h_op,
     rand_cochain,
-    structure_cochain,
 )
 
 Q = CoeffRing("Q")
@@ -105,6 +104,12 @@ def exterior_structure(ring):
         },
     )
     return basis, AInfStructure(ring, basis, {1: m1, 2: m2})
+
+
+def non_associative_m2(bound):
+    """m2 = {(y,y): y, (1,y): y} on the two-cell basis at d = 0: m2 o m2 != 0."""
+    m2 = MultiComponent(Q, B0, 2, -1, {("y", "y"): {"y": 1}, ("1", "y"): {"y": 1}})
+    return AInfStructure(Q, B0, {2: m2}, bound)
 
 
 class TestGradedBasis:
@@ -255,6 +260,13 @@ class TestStasheff:
         with pytest.raises(StructureError):
             AInfStructure(Q, B0, {0: MultiComponent(Q, B0, 0, -1, {(): {"y": 1}})})
 
+    def test_exact_square_reaches_past_the_support(self):
+        # m2 o m2 lands in arity 3, above the support of an exact structure
+        exact = non_associative_m2(EXACT)
+        assert stasheff_defect(exact) == (3, ("1", "1", "y"))
+        assert sorted(structure_square(exact)) == [3]
+        assert stasheff_defect(non_associative_m2(3)) == (3, ("1", "1", "y"))
+
 
 class TestUnital:
     def test_exterior_structure(self):
@@ -323,7 +335,16 @@ class TestDualize:
     def test_round_trip_from_structure_side(self):
         _, m = odd_struct(Q, {2: 3}, {2: 4})
         again = dualize(dualize_back(m), B1)
-        assert again.components == m.components
+        assert again == m
+
+    def test_a_structure_is_a_degree_minus_one_cochain(self):
+        _, m = odd_struct(Q, {2: 3}, {2: 4})
+        assert isinstance(m, HochschildCochain)
+        assert m.degree == -1
+        doubled = m + m
+        assert type(doubled) is HochschildCochain
+        assert doubled == m.scaled(2)
+        assert (m - m).is_zero()
 
     def test_parity_gate(self):
         zero = NCSeries(Q, GradingContext(0), {}, EXACT)
@@ -355,9 +376,19 @@ class TestDualize:
 class TestDifferential:
     def test_structure_cochain_is_closed(self):
         for _, m in (even_struct(F5, {1: 1, 3: 2}, trunc=6), exterior_structure(Q)):
-            c = structure_cochain(m)
-            assert c.degree == -1
-            assert hochschild_differential(c, m).is_zero()
+            assert m.degree == -1
+            assert hochschild_differential(m, m).is_zero()
+
+    def test_bracket_with_itself_is_twice_the_square(self):
+        # m has odd degree, so [m, m] = m.m + m.m
+        for bound in (EXACT, 3):
+            m = non_associative_m2(bound)
+            square = structure_square(m)
+            bracket = hochschild_differential(m, m)
+            assert bracket.degree == -2
+            assert sorted(bracket.components) == sorted(square) == [3]
+            for n, comp in square.items():
+                assert bracket.component(n) == comp.scaled(2)
 
     def test_arity_zero_cochain(self):
         basis, m = exterior_structure(Q)

@@ -7,7 +7,7 @@ import pytest
 import moorealg.cli as cli
 from moorealg.cli import main
 from moorealg.rings import parse_ring
-from moorealg.series import compose, parse_series
+from moorealg.series import EXACT, compose, parse_series
 
 Q = parse_ring("Q")
 
@@ -41,6 +41,29 @@ class TestPinnedCommands:
         assert data["mod_p_height"] == 2
         assert data["discrepancy"] is True
         assert data["presentation"]["ring"] == "Zp:5:6[v]"
+
+    @pytest.mark.parametrize("ring", ["F5", "Q"])
+    def test_hochschild_bruteforce_dims(self, ring, capsys):
+        code, out, _ = run(
+            [
+                "hochschild",
+                "--ring",
+                ring,
+                "--series",
+                "t + t^3",
+                "--trunc",
+                "10",
+                "--maxdeg",
+                "6",
+                "--json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        # a unit linear coefficient over a field kills the cohomology
+        assert data["rank"] == 0
+        assert data["bruteforce_dims"] == [0] * 7
 
     def test_canonicalize_quadratic(self, capsys):
         code, out, _ = run(
@@ -247,6 +270,27 @@ class TestRoundTrips:
         u = parse_series(ring, "5*t + v*t^2", 8)
         f = parse_series(ring, "t + 2*t^2", 8)
         assert parse_series(ring, text, 8).coeffs == compose(u, f).coeffs
+
+    def test_act_exact_truncation(self, capsys):
+        code, out, _ = run(
+            [
+                "act",
+                "--ring",
+                "Q",
+                "--series",
+                "t^2",
+                "--series2",
+                "t + t^2",
+                "--trunc",
+                "exact",
+                "--json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["trunc"] == EXACT == 1000000000
+        assert data["series"] == "t^2 + 2*t^3 + t^4"
 
     def test_json_mode_emits_parsable_series(self, capsys):
         code, out, _ = run(

@@ -24,8 +24,6 @@ from moorealg.series import (
     format_series,
     height,
     is_canonical,
-    is_trivial,
-    parse_elem,
     parse_series,
     ps_t,
     reciprocal,
@@ -39,6 +37,8 @@ from util import (
     check_bound,
     compose_by_powers,
     ext,
+    is_trivial,
+    parse_elem,
     rand_elem,
     rand_series,
     rand_unit,

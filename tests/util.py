@@ -15,6 +15,7 @@ from moorealg.errors import (
     CompositionError,
     InternalError,
     NotInvertibleError,
+    ParseError,
     PrecisionError,
 )
 from moorealg.moduli import _dvr_reduce
@@ -34,8 +35,9 @@ from moorealg.series import (
     capped,
     compose,
     lowered,
-    parse_elem,
     ps_t,
+    _parse_elem_sum,
+    _Tokens,
 )
 
 
@@ -263,6 +265,20 @@ def inverse_by_geometric_series(x):
     return acc * minv
 
 
+def is_trivial(f: PowerSeries) -> bool:
+    """True iff f is exactly pi * t (valuation-ring modes only)."""
+    return f.coeffs == {1: f.ring.uniformizer()}
+
+
+def parse_elem(ring: CoeffRing, text: str) -> RingElem:
+    """One coefficient-ring element written as a sum, with no t."""
+    tk = _Tokens(text)
+    e = _parse_elem_sum(tk, ring)
+    if tk.cur != "":
+        raise ParseError(f"trailing input {tk.cur!r}", tk.cur_pos)
+    return e
+
+
 def series_to_json(f: PowerSeries) -> dict:
     return {
         "ring": f.ring.spec(),
@@ -298,11 +314,6 @@ def commutator(a: NCSeries, b: NCSeries) -> NCSeries:
     lhs = nc_mul(a, b)
     rhs = nc_mul(b, a)
     return lhs - rhs if sign > 0 else lhs + rhs
-
-
-def structure_cochain(m: AInfStructure) -> HochschildCochain:
-    """The structure viewed as a degree -1 cochain."""
-    return HochschildCochain(m.ring, m.basis, -1, m.components, m.arity_bound)
 
 
 def coderivation_extend(m: AInfStructure, word) -> dict:
