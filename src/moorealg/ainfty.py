@@ -158,7 +158,8 @@ class MultiComponent:
         return self + (-other)
 
     def __neg__(self):
-        return self.scaled(-1)
+        table = {w: {name: -x for name, x in v.items()} for w, v in self.table.items()}
+        return MultiComponent(self.ring, self.basis, self.arity, self.degree, table)
 
     def scaled(self, c) -> "MultiComponent":
         if isinstance(c, int):
@@ -275,7 +276,11 @@ class HochschildCochain:
         return HochschildCochain(self.ring, self.basis, self.degree, out, bound)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self + (-other)
+
+    def __neg__(self):
+        out = {k: -comp for k, comp in self.components.items()}
+        return HochschildCochain(self.ring, self.basis, self.degree, out, self.arity_bound)
 
     def scaled(self, c) -> "HochschildCochain":
         out = {k: comp.scaled(c) for k, comp in self.components.items()}
@@ -430,7 +435,7 @@ def s_op(i: int, c: HochschildCochain) -> HochschildCochain:
             sign = -1 if (ppar + 1) % 2 else 1
             tgt = table.setdefault(w, {})
             for name, x in vec.items():
-                add = x.scaled(sign)
+                add = -x if sign < 0 else x
                 s = tgt.get(name)
                 tgt[name] = add if s is None else s + add
         if table:
@@ -489,7 +494,7 @@ def dualize_back(m: AInfStructure) -> Derivation:
             letters_word = "".join(gen_letter[a] for a in reversed(word))
             for name, c in vec.items():
                 tgt = images[gen_letter[name]]
-                add = c.scaled(sign) if sign < 0 else c
+                add = -c if sign < 0 else c
                 s = tgt.get(letters_word)
                 tgt[letters_word] = add if s is None else s + add
     on_tau = NCSeries(m.ring, grading, images["T"], m.arity_bound)
@@ -516,7 +521,7 @@ def dualize(xi: Derivation, basis: GradedBasis) -> AInfStructure:
             k = len(gens)
             tbl = tables.setdefault(k, {})
             vec = tbl.setdefault(gens, {})
-            add = c.scaled(sign) if sign < 0 else c
+            add = -c if sign < 0 else c
             s = vec.get(target)
             vec[target] = add if s is None else s + add
     comps = {

@@ -11,11 +11,12 @@ derivation with basis derivations on words (noncomm) and never forms
 u', so comparing its dimensions with quotient_dims (the quotient by
 u' read degree by degree) is an independent check of that reading.
 
-Over a field with nonzero linear coefficient the derivative is an
-invertible series and the quotient collapses to 0; the interesting
-cases live over Z/p^K, where the quotient is either (R/p)[[t]] (when
-u' vanishes mod p) or a free R-module presented by the monic factor of
-u' with lower coefficients in (p).  The analysis reports both that
+Over a (graded) field every nonzero homogeneous coefficient is a unit,
+so u' is a unit times t^r, r the t-order of u', and the quotient is
+F[t]/(t^r): 0 when the linear coefficient is nonzero, of dimension r
+otherwise.  Over Z/p^K the quotient is either (R/p)[[t]] (when u'
+vanishes mod p) or a free R-module presented by the monic factor of u'
+with lower coefficients in (p).  The analysis reports both that
 computed rank and the height of u mod p; the two disagree in general
 and the report keeps both rather than reconciling them.
 """
@@ -29,6 +30,7 @@ from .errors import (
     FieldRequiredError,
     InternalError,
     NoUniformizerError,
+    NotAUnitError,
     PrecisionError,
     StructureError,
     ZeroDivisorError,
@@ -135,7 +137,6 @@ def weierstrass_factor(f: PowerSeries):
     fhinv = reciprocal(fhigh)
     cur = PowerSeries(ring, {r: ring.one()}, htr + r)
     rho: dict = {}
-    minus_one = ring.from_int(-1)
     passes = 0
     while cur.coeffs:
         # the shift by r below needs r visible slots to tell a finished
@@ -158,7 +159,7 @@ def weierstrass_factor(f: PowerSeries):
         )
         if not ch.coeffs:
             break
-        cur = (ch * fhinv * flow).scaled(minus_one)
+        cur = -(ch * fhinv * flow)
     w = {r: ring.one()}
     for i, c in rho.items():
         if c:
@@ -181,13 +182,17 @@ def _mod_p_height(u: PowerSeries):
 def hh_closed_form(M) -> HHReport:
     """Cohomology via the quotient by u'(t).
 
-    Needs the linear coefficient known (trunc >= 1, else PrecisionError)
-    and nonzero (to working precision in the valuation mode).  Over a
-    field that makes u' invertible, so the quotient is 0.  Over Z/p^K:
-    u' = 0 mod p gives the residue branch (R/p)[[t]] with infinite
-    rank, cross-checked against the criterion that every unit slot of
-    u sits at an exponent divisible by p; otherwise the quotient is
-    free of rank r presented by the distinguished factor of u'.
+    Needs the linear coefficient known (trunc >= 1, else PrecisionError).
+    Over a (graded) field the rank is r = weierstrass_rank(u'), the index
+    of its first unit coefficient, and the quotient is F[t]/(t^r) (0 for
+    r = 0); a u' with no unit coefficient through its truncation raises
+    PrecisionError, and one whose first nonzero coefficient is not a
+    unit (not a single v-monomial) raises NotAUnitError.  Over Z/p^K the linear coefficient must be nonzero
+    to working precision.  Then u' = 0 mod p gives the residue branch
+    (R/p)[[t]] with infinite rank, cross-checked against the criterion
+    that every unit slot of u sits at an exponent divisible by p;
+    otherwise the quotient is free of rank r presented by the
+    distinguished factor of u'.
     """
     if M.kind != "even":
         raise StructureError("cohomology analysis covers even data only")
@@ -197,20 +202,23 @@ def hh_closed_form(M) -> HHReport:
         raise FieldRequiredError(
             f"{ring.spec()} is neither a (graded) field nor a valuation ring"
         )
-    u1 = u.coeff(1)
+    up = derivative(u)
     if ring.is_field:
-        if not u1:
-            raise ZeroDivisorError("linear coefficient is zero")
+        # every nonzero (homogeneous) coefficient is a unit: u' = unit * t^r
+        r = weierstrass_rank(up)
+        if min(up.coeffs) < r:
+            raise NotAUnitError("the first nonzero coefficient of u' is not a unit")
+        tr = PowerSeries(ring, {r: 1}, EXACT)
         return HHReport(
             ring=ring,
-            uprime=derivative(u),
-            quotient="0",
-            rank=0,
+            uprime=up,
+            quotient=f"F[t]/({format_series(tr)})" if r else "0",
+            rank=r,
             torsion="not-applicable",
         )
+    u1 = u.coeff(1)
     if u1.valuation() >= ring.K:
         raise ZeroDivisorError("linear coefficient is zero to working precision")
-    up = derivative(u)
     up_kills_p = all(c.valuation() >= 1 for c in up.coeffs.values())
     frobenius_shape = all(
         i % ring.p == 0 for i, c in u.coeffs.items() if c.valuation() == 0

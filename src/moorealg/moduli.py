@@ -23,9 +23,14 @@ The sweep does not search for its moves.  Re-reduced, a window move
 t + d*p^jm*t^m changes the digits up to the level it acts on by d times
 what its unit move (d = 1) changes, mod p, so one form-only probe per
 window slot and level predicts the single clearing move, which is then
-applied to form and witness and verified like a search result.  The
-sweep covers Z/p^K without v only: over Z/p^K[v] a form at finite
-truncation is not yet unique to its orbit.
+applied to form and witness and verified like a search result.
+
+Over Z/p^K[v] (|v| = 2) the orbits are graded: a degree-homogeneous
+datum is u(t) = v^-1 * ubar(v^e * t) with ubar over Z/p^K, a degree-0
+substitution is f(t) = v^-e * fbar(v^e * t), and u o f is
+v^-1 * (ubar o fbar)(v^e * t).  So the graded orbits are exactly the
+orbits over Z/p^K, and canonicalize_dvr strips the v's, runs the one
+Z/p^K path and puts the v's back.
 
 The odd-variant action is implemented in full (act_full) but no odd
 classification is attempted; its outputs are validated against letter
@@ -314,13 +319,19 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
     rescale zeroes the top base-p digit of the leading unit coefficient,
     and a digit sweep clears the truncation slack; see the module
     docstring.
+
+    Over Z/p^K[v] u must pass degree_audit at the cell degree d = 2e - 2
+    that its linear coefficient c*v^(e-1) fixes (StructureError
+    otherwise), and the result represents the graded orbit.
     """
     ring = u.ring
     if ring.mode != "Zp":
         raise NoUniformizerError(f"{ring.spec()} has no uniformizer")
+    if ring.laurent:
+        return _canonicalize_graded(u)
     if 0 in u.coeffs:
         raise StructureError("classifying series has a nonzero constant term")
-    p, K = ring.p, ring.K
+    p = ring.p
     pi = ring.uniformizer()
     u1 = u.coeff(1)
     if u1.valuation() != 1:
@@ -328,8 +339,6 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
             "linear coefficient must be a unit multiple of the uniformizer"
         )
     r = _pi_quotient(ring, u1)
-    if not r.is_unit():
-        raise NotAUnitError("linear coefficient is not a unit multiple of p")
     cur = u
     wit = ps_t(ring, u.trunc)
     if r != ring.one():
@@ -356,11 +365,8 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
     k = units[0]
     if k % p == 0:
         raise WildCaseError(f"residue characteristic {p} divides the degree {k}")
-    if not cur.coeffs[k].is_unit():
-        raise NotAUnitError(f"coefficient of t^{k} is not a unit monomial")
     cur, wit = _dvr_reduce(cur, wit, k)
-    if not ring.laurent:
-        cur, wit = _digit_sweep(cur, wit, k, u)
+    cur, wit = _digit_sweep(cur, wit, k, u)
     ok, n = is_canonical(cur)
     if not ok or n != k:
         raise InternalError(
@@ -368,6 +374,33 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
             f"reduced to {format_series(cur)}, anchor t^{k}"
         )
     return CanonicalForm("canonical", k, cur, wit)
+
+
+def _canonicalize_graded(u):
+    # strip u = v^-1 * ubar(v^e * t) to ubar, canonicalize that, lift back
+    ring = u.ring
+    lead = u.coeff(1).terms
+    if len(lead) != 1:
+        raise StructureError("linear coefficient is not a single v-monomial")
+    (j,) = lead
+    e = j + 1
+    if degree_audit(MooreAlgebra.even(u, 2 * e - 2)):
+        raise StructureError(
+            f"series is not degree-homogeneous for cell degree {2 * e - 2}"
+        )
+    base = CoeffRing("Zp", ring.p, ring.K)
+    # homogeneous: every coefficient is a single v-monomial
+    bar = PowerSeries(
+        base, {i: c for i, x in u.coeffs.items() for c in x.terms.values()}, u.trunc
+    )
+    cf = canonicalize_dvr(bar)
+
+    def lift(s, shift):
+        return PowerSeries(
+            ring, {i: {e * i + shift: x.terms[0]} for i, x in s.coeffs.items()}, s.trunc
+        )
+
+    return CanonicalForm(cf.kind, cf.n, lift(cf.form, -1), lift(cf.witness, -e))
 
 
 def _reduce_tail(cur, wit, k):
@@ -400,11 +433,10 @@ def _dvr_reduce(cur, wit, k):
     cur, wit = _reduce_tail(cur, wit, k)
     ring = cur.ring
     p, K = ring.p, ring.K
-    ck = cur.coeffs[k]
-    hot = [key for key, c in ck.terms.items() if c % p][0]
-    top = ck.terms[hot] // p ** (K - 1)
+    ck = cur.coeffs[k].terms[0]
+    top = ck // p ** (K - 1)
     if top:
-        gamma = (-top * pow(k * (ck.terms[hot] % p), -1, p)) % p
+        gamma = (-top * pow(k * (ck % p), -1, p)) % p
         s = PowerSeries(ring, {1: ring.from_int(1 + gamma * p ** (K - 1))}, EXACT)
         cur = compose(cur, s)
         if wit is not None:
@@ -497,7 +529,11 @@ def _digit_sweep(cur, wit, k, source):
 
 
 def equivalent(M1: MooreAlgebra, M2: MooreAlgebra) -> bool:
-    """Whether two even data lie in the same substitution orbit."""
+    """Whether two even data lie in the same substitution orbit.
+
+    Over Z/p^K[v] this is the graded orbit, and both series must be
+    degree-homogeneous for the data's cell degree (see canonicalize_dvr).
+    """
     for M in (M1, M2):
         if M.kind != "even":
             raise StructureError("the equivalence test covers even data only")
@@ -512,6 +548,10 @@ def equivalent(M1: MooreAlgebra, M2: MooreAlgebra) -> bool:
             return z1 and z2
         return orbit_invariant_char0(M1) == orbit_invariant_char0(M2)
     if ring.mode == "Zp":
+        # canonicalize_dvr reads the cell degree off u_1, so hold it to M.d;
+        # without v the audit is always empty
+        if degree_audit(M1) or degree_audit(M2):
+            raise StructureError("data are not degree-homogeneous for their cell degree")
         c1 = canonicalize_dvr(M1.u)
         c2 = canonicalize_dvr(M2.u)
         return (
@@ -523,11 +563,12 @@ def equivalent(M1: MooreAlgebra, M2: MooreAlgebra) -> bool:
 
 
 def degree_audit(M: MooreAlgebra) -> list:
-    """Advisory check of internal v-degrees against the cell degree d.
+    """Check of internal v-degrees against the cell degree d.
 
     In the Laurent modes (|v| = 2) the coefficient of t^i must sit in a
     single degree: i(d+2)-2 for u and w, i(d+2)-d-3 for v.  Returns one
     entry per offending exponent; non-Laurent data audit vacuously.
+    canonicalize_dvr over Z/p^K[v] requires an empty report.
     """
     ring = M.ring
     if not ring.laurent:

@@ -339,7 +339,7 @@ def derivation_commutator(xi: Derivation, eta: Derivation) -> Derivation:
     for ch in _ALPHABET:
         a = derivation_apply(xi, eta.image(ch))
         b = derivation_apply(eta, xi.image(ch))
-        out.append(a - b.scaled(sign))
+        out.append(a + b if sign < 0 else a - b)
     return Derivation(out[0], out[1], (xi.parity + eta.parity) % 2)
 
 

@@ -65,6 +65,19 @@ class TestPinnedCommands:
         assert data["rank"] == 0
         assert data["bruteforce_dims"] == [0] * 7
 
+    @pytest.mark.parametrize("ring, series", [("F5", "t^2 + t^3"), ("Q", "t^2")])
+    def test_hochschild_field_rank_without_linear_term(self, ring, series, capsys):
+        code, out, _ = run(
+            ["hochschild", "--ring", ring, "--series", series, "--trunc", "10",
+             "--maxdeg", "6", "--json"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["rank"] == 1
+        assert data["presentation"]["quotient"] == "F[t]/(t)"
+        assert data["bruteforce_dims"] == [1, 0, 0, 0, 0, 0, 0]
+
     def test_canonicalize_quadratic(self, capsys):
         code, out, _ = run(
             ["canonicalize", "--ring", "Q", "--series", "t^2 + t^3", "--trunc", "8"],
@@ -143,6 +156,17 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "PrecisionError" in err
+
+    def test_inhomogeneous_graded_input_is_3(self, capsys):
+        # 5t + 49t^4 has every coefficient in v^0, but d = 0 needs v^3 on t^4
+        pair = ["--series", "5*t + 49*t^4", "--series2", "5*t + 49*t^4 + 30*t^5", "--trunc", "6"]
+        code, out, err = run(["equivalent", "--ring", "Zp:5:3[v]", *pair], capsys)
+        assert code == 3
+        assert out == ""
+        assert "StructureError" in err
+        code, out, _ = run(["equivalent", "--ring", "Zp:5:3", *pair], capsys)
+        assert code == 0
+        assert out.strip() == "equivalent: yes"
 
     def test_negative_trunc_is_2(self, capsys):
         code, out, err = run(
@@ -372,6 +396,15 @@ class TestOtherVerbs:
             capsys,
         )
         assert code == 0 and out.strip() == "equivalent: no"
+
+    def test_equivalent_graded_orbit(self, capsys):
+        # u and u o (t + 31v^4 t^5) over Zp:5:3[v], both degree-homogeneous
+        code, out, _ = run(
+            ["equivalent", "--ring", "Zp:5:3[v]", "--series", "5*t + 49*v^3*t^4",
+             "--series2", "5*t + 49*v^3*t^4 + 30*v^4*t^5", "--trunc", "6"],
+            capsys,
+        )
+        assert code == 0 and out.strip() == "equivalent: yes"
 
     def test_invariant(self, capsys):
         code, out, _ = run(

@@ -7,6 +7,7 @@ import pytest
 from moorealg.errors import (
     FieldRequiredError,
     NoUniformizerError,
+    NotAUnitError,
     PrecisionError,
     StructureError,
     ZeroDivisorError,
@@ -148,10 +149,44 @@ class TestClosedForm:
         assert r.rank == 0
 
     def test_zero_divisor_gates(self):
-        with pytest.raises(ZeroDivisorError):
-            hh_closed_form(even(Q, {2: 1}, 8))
+        # over a field u_1 = 0 is no zero divisor: u' = 2t gives rank 1
+        r = hh_closed_form(even(Q, {2: 1}, 8))
+        assert (r.rank, r.quotient) == (1, "F[t]/(t)")
         with pytest.raises(ZeroDivisorError):
             hh_closed_form(even(Z56, {2: 1}, 8))
+
+    def test_field_rank_is_the_order_of_uprime(self):
+        for M, rank, quotient in (
+            (even(F5, {2: 1, 3: 1}, 10), 1, "F[t]/(t)"),
+            (even(F7, {3: 2, 5: 1}, 10), 2, "F[t]/(t^2)"),
+            # the t^5 term dies in u' over F5
+            (even(F5, {5: 1, 7: 3}, 10), 6, "F[t]/(t^6)"),
+            (even(F5V, {3: F5V.el({2: 4})}, 10), 2, "F[t]/(t^2)"),
+        ):
+            r = hh_closed_form(M)
+            assert (r.rank, r.quotient, r.torsion) == (rank, quotient, "not-applicable")
+
+    def test_field_rank_matches_bruteforce(self):
+        # the words-only complex has exactly rank surviving degrees
+        rng = random.Random(62)
+        for ring in (F5, F7, Q):
+            for _ in range(4):
+                u = rand_series(ring, rng, 8, ord_min=1 + rng.randrange(3), density=0.6)
+                try:
+                    r = hh_closed_form(MooreAlgebra.even(u))
+                except PrecisionError:
+                    continue
+                assert sum(hh_bruteforce(MooreAlgebra.even(u), 6)) == min(r.rank, 7)
+
+    def test_field_uprime_vanishing_through_truncation(self):
+        with pytest.raises(PrecisionError):
+            hh_closed_form(even(F5, {5: 1}, 10))
+
+    def test_graded_field_non_unit_leading_uprime(self):
+        # 1 + v is no unit of F5[v, 1/v], so neither is u's leading coefficient
+        for lead in ({1: F5V.el({0: 1, 1: 1})}, {2: F5V.el({0: 1, 1: 1})}):
+            with pytest.raises(NotAUnitError):
+                hh_closed_form(even(F5V, {**lead, 3: 1}, 10))
 
     def test_unknown_linear_coefficient_is_not_read_as_zero(self):
         # at trunc 0 nothing is known about u_1, so neither gate may pass

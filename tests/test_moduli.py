@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -38,7 +40,7 @@ from moorealg.noncomm import (
     moore_mstar,
     normalized_endo,
 )
-from moorealg.rings import CoeffRing
+from moorealg.rings import CoeffRing, parse_ring
 from moorealg.series import (
     EXACT,
     PowerSeries,
@@ -562,6 +564,158 @@ class TestCanonicalizeDvr:
         assert cf.kind == "canonical" and cf.n == 2
         assert cf.form == u
         assert cf.witness == ps_t(Z56V, 8)
+
+
+def _graded(ring, bar, e, shift):
+    """Put v^(e*i + shift) on the t^i coefficient of a plain {i: int} map."""
+    return {i: ring.vpow(e * i + shift, c) for i, c in bar.items()}
+
+
+class TestGradedCanonicalForms:
+    def test_homogeneous_reproducer(self):
+        # both sides are degree-homogeneous (e = 1); without the digit
+        # sweep they got 5t + 24v^3t^4 and 5t + 100vt^2 + 24v^3t^4
+        ring = CoeffRing("Zp", 5, 3, laurent=True)
+        u = S(ring, {1: 5, 4: ring.vpow(3, 49)}, 6)
+        f = S(ring, {1: 1, 5: ring.vpow(4, 31)}, 6)
+        want = {1: ring.from_int(5), 4: ring.vpow(3, 4)}
+        for x in (u, compose(u, f)):
+            cf = canonicalize_dvr(x)
+            assert (cf.kind, cf.n, cf.form.coeffs) == ("canonical", 4, want)
+            assert compose(x, cf.witness) == cf.form
+        assert equivalent(MooreAlgebra.even(u), MooreAlgebra.even(compose(u, f)))
+
+    def test_cell_degree_is_read_from_the_linear_slot(self):
+        # u_1 = 5v fixes e = 2 (d = 2); the input is already canonical
+        u = S(Z56V, {1: Z56V.vpow(1, 5), 2: Z56V.vpow(3)}, 8)
+        cf = canonicalize_dvr(u)
+        assert (cf.kind, cf.n) == ("canonical", 2)
+        assert cf.form == u
+        assert cf.witness == ps_t(Z56V, 8)
+        assert degree_audit(MooreAlgebra.even(cf.form, 2)) == []
+
+    def test_act_then_recanonicalize(self):
+        rng = random.Random(151)
+        for spec in ("Zp:5:3[v]", "Zp:5:6[v]"):
+            ring = parse_ring(spec)
+            m = ring.p**ring.K
+            for e in (-1, 0, 1, 2):
+                for N in (3, 5, 7, 9):
+                    bar = {i: rng.randrange(m) for i in range(2, N + 1) if rng.random() < 0.7}
+                    bar[1] = 5 * rng.choice((1, 2, 3, 4, 6))
+                    fbar = {i: rng.randrange(m) for i in range(2, N + 1) if rng.random() < 0.7}
+                    fbar[1] = rng.choice((1, 2, 3, 4, 6, 7))
+                    u = S(ring, _graded(ring, bar, e, -1), N)
+                    f = S(ring, _graded(ring, fbar, e, -e), N)
+                    outcomes = []
+                    for x in (u, compose(u, f)):
+                        try:
+                            cf = canonicalize_dvr(x)
+                        except WildCaseError:
+                            outcomes.append(WildCaseError)
+                            continue
+                        assert compose(x, cf.witness) == cf.form
+                        assert degree_audit(MooreAlgebra.even(cf.form, 2 * e - 2)) == []
+                        outcomes.append((cf.kind, cf.n, cf.form.coeffs))
+                    assert outcomes[0] == outcomes[1], (spec, e, N, format_series(u))
+
+    def test_inhomogeneous_input_raises(self):
+        ring = CoeffRing("Zp", 5, 3, laurent=True)
+        for coeffs in (
+            {1: 5, 4: 49},  # d = 0 needs v^3 on t^4
+            {1: 5, 2: ring.vpow(1), 3: ring.vpow(1)},
+            {1: ring.vpow(0, 5) + ring.vpow(1, 5), 2: ring.vpow(1)},  # u_1 not a monomial
+        ):
+            with pytest.raises(StructureError):
+                canonicalize_dvr(S(ring, coeffs, 6))
+        a = MooreAlgebra.even(S(ring, {1: 5, 4: 49}, 6))
+        b = MooreAlgebra.even(S(ring, {1: 5, 4: 49, 5: 30}, 6))
+        with pytest.raises(StructureError):
+            equivalent(a, b)
+        # homogeneous for d = 0, but the data claim d = 2
+        u = S(ring, {1: 5, 4: ring.vpow(3, 49)}, 6)
+        with pytest.raises(StructureError):
+            equivalent(MooreAlgebra.even(u, 2), MooreAlgebra.even(u, 2))
+
+    def test_gates_match_the_plain_ring(self):
+        with pytest.raises(StructureError):
+            canonicalize_dvr(S(Z56V, {1: 25, 2: Z56V.vpow(1)}, 8))
+        with pytest.raises(StructureError):
+            canonicalize_dvr(S(Z56V, {2: Z56V.vpow(1)}, 8))
+        with pytest.raises(StructureError):
+            canonicalize_dvr(S(Z56V, {0: Z56V.vpow(-1, 5), 1: 5}, 8))
+        with pytest.raises(PrecisionError):
+            canonicalize_dvr(ps_zero(Z56V, 0))
+        with pytest.raises(WildCaseError):
+            canonicalize_dvr(S(Z56V, {1: 5, 5: Z56V.vpow(4)}, 8))
+
+
+def _orbit_oracle(p, K, N):
+    """Every admissible series over Z/p^K at truncation N, and its orbit.
+
+    Admissible: u_1 of valuation exactly 1.  Orbits come from union-find
+    under t -> g*t (g a unit) and t -> t + t^m (2 <= m <= N), composed
+    by a plain-integer binomial loop.  Returns the series (coefficient
+    tuples for t^1..t^N), the root of each one's orbit, and the index of
+    each series in that list.
+    """
+    mod = p**K
+    units = [g for g in range(1, mod) if g % p]
+    linear = [p * a for a in range(1, mod // p) if a % p]
+    series = [(a,) + rest for a in linear for rest in product(range(mod), repeat=N - 1)]
+    index = {s: i for i, s in enumerate(series)}
+    parent = list(range(len(series)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, s):
+        a, b = find(i), find(index[s])
+        parent[a] = b
+
+    for i, s in enumerate(series):
+        for g in units:
+            union(i, tuple(c * pow(g, e, mod) % mod for e, c in enumerate(s, 1)))
+        for m in range(2, N + 1):
+            # u(t + t^m) = sum of u_e * C(e, j) * t^(e + j(m - 1))
+            out = [0] * (N + 1)
+            for e, c in enumerate(s, 1):
+                for j in range(e + 1):
+                    x = e + j * (m - 1)
+                    if x > N:
+                        break
+                    out[x] += c * comb(e, j)
+            union(i, tuple(x % mod for x in out[1:]))
+    return series, [find(i) for i in range(len(series))], index
+
+
+class TestExhaustiveOrbits:
+    @pytest.mark.parametrize(
+        "p, K, N, orbits",
+        [(3, 2, 4, 11), (2, 3, 4, 8), (2, 3, 5, 16), (5, 2, 3, 9), (2, 2, 6, 20)],
+    )
+    def test_forms_separate_orbits(self, p, K, N, orbits):
+        # every member of an orbit gets the same outcome, and no two
+        # orbits share a form; a form lies in the orbit it names
+        ring = CoeffRing("Zp", p, K)
+        series, root, index = _orbit_oracle(p, K, N)
+        assert len(set(root)) == orbits
+        outcome = {}
+        owner = {}
+        for s, r in zip(series, root):
+            try:
+                cf = canonicalize_dvr(S(ring, dict(enumerate(s, 1)), N))
+            except MooreError as exc:
+                got = type(exc)
+            else:
+                form = tuple(cf.form.coeff(i).terms.get(0, 0) for i in range(1, N + 1))
+                got = (cf.kind, cf.n, form, cf.form.trunc)
+                assert root[index[form]] == r, s
+                assert owner.setdefault(form, r) == r, s
+            assert outcome.setdefault(r, got) == got, s
 
 
 def _anchored_input(rng, p, K, k, N):
