@@ -185,14 +185,15 @@ def hh_closed_form(M) -> HHReport:
     Needs the linear coefficient known (trunc >= 1, else PrecisionError).
     Over a (graded) field the rank is r = weierstrass_rank(u'), the index
     of its first unit coefficient, and the quotient is F[t]/(t^r) (0 for
-    r = 0); a u' with no unit coefficient through its truncation raises
+    r = 0).  An exactly zero u' leaves F[[t]], of infinite rank (None); a
+    u' with no unit coefficient through a finite truncation raises
     PrecisionError, and one whose first nonzero coefficient is not a
-    unit (not a single v-monomial) raises NotAUnitError.  Over Z/p^K the linear coefficient must be nonzero
-    to working precision.  Then u' = 0 mod p gives the residue branch
-    (R/p)[[t]] with infinite rank, cross-checked against the criterion
-    that every unit slot of u sits at an exponent divisible by p;
-    otherwise the quotient is free of rank r presented by the
-    distinguished factor of u'.
+    unit (not a single v-monomial) raises NotAUnitError.  Over Z/p^K the
+    linear coefficient must be nonzero to working precision.  Then
+    u' = 0 mod p gives the residue branch (R/p)[[t]] with infinite rank,
+    cross-checked against the criterion that every unit slot of u sits
+    at an exponent divisible by p; otherwise the quotient is free of
+    rank r presented by the distinguished factor of u'.
     """
     if M.kind != "even":
         raise StructureError("cohomology analysis covers even data only")
@@ -204,6 +205,15 @@ def hh_closed_form(M) -> HHReport:
         )
     up = derivative(u)
     if ring.is_field:
+        if not up.coeffs and up.trunc == EXACT:
+            # u' = 0 is known completely: nothing is divided out
+            return HHReport(
+                ring=ring,
+                uprime=up,
+                quotient="F[[t]]",
+                rank=None,
+                torsion="not-applicable",
+            )
         # every nonzero (homogeneous) coefficient is a unit: u' = unit * t^r
         r = weierstrass_rank(up)
         if min(up.coeffs) < r:

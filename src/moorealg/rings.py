@@ -274,8 +274,14 @@ class RingElem:
         return RingElem(r, out)
 
     def scaled(self, n: int) -> "RingElem":
-        """Multiply by the image of the integer n."""
-        return self * self.ring.from_int(n)
+        """Multiply by the image of the integer n: each term times n, normalized."""
+        r = self.ring
+        out = {}
+        for k, c in self.terms.items():
+            c = r._bnorm(c * n)
+            if c:
+                out[k] = c
+        return RingElem(r, out)
 
     # -- units and valuation ---------------------------------------------
 

@@ -13,6 +13,14 @@ precision than they have:
 where ord is the first exponent with a nonzero known coefficient (one
 past the truncation for a series that is zero as far as it is known).
 
+compose, mul and reciprocal have two paths with the same bounds,
+errors and outputs, chosen by the ring mode alone (_plain): over Q, F_p
+and Z/p^K without v a coefficient is one base scalar, and the
+plain-scalar kernel works on lists of those scalars (or, over Q, of
+integers over one common denominator), reducing once per output
+coefficient and building RingElems only for the result; over [v] and the
+polynomial mode they multiply RingElems in dicts.
+
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
 it too.  Bounds run from -1 to EXACT.  A bound equal to EXACT means
@@ -39,12 +47,15 @@ so "5*t + v*t^2 + 3*t^4", "t - 1/2*t^2", "(5 + v)*t^2" all parse.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CompositionError,
     HeightUndefinedError,
     IncompatibleRingError,
     InternalError,
+    NotAUnitError,
     NotInvertibleError,
     ParseError,
     PrecisionError,
@@ -163,6 +174,8 @@ class PowerSeries:
     def __mul__(self, other):
         self._check(other)
         n = min(lowered(other.order(), -self.trunc), lowered(self.order(), -other.trunc))
+        if _plain(self.ring):
+            return _mul_plain(self, other, n)
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -188,15 +201,149 @@ def ps_t(ring: CoeffRing, trunc: int) -> PowerSeries:
     return PowerSeries(ring, {1: ring.one()}, trunc)
 
 
+# -- plain-scalar kernel -----------------------------------------------------
+#
+# A coefficient over Q, F_p or Z/p^K (no v) is one base scalar c.terms[0]:
+# a Fraction over Q, a residue in [0, m) otherwise.  compose and mul run on
+# integers, the residues or over Q the numerators over one common
+# denominator, since a Fraction operation pays a gcd every time; reciprocal
+# runs on the base scalars, since each of its coefficients feeds the next.
+
+
+def _plain(ring: CoeffRing) -> bool:
+    """Whether ring's series take the plain-scalar path."""
+    return not ring.laurent and ring.mode != "Poly"
+
+
+def _scalars(f: PowerSeries, upto: int) -> list:
+    """[(i, base scalar of f_i)] for the coefficients i <= upto, ascending."""
+    return [(i, c.terms[0]) for i, c in sorted(f.coeffs.items()) if i <= upto]
+
+
+def _integers(f: PowerSeries, upto: int):
+    """(pairs, den): the coefficients i <= upto as [(i, integer)], f_i = integer/den.
+
+    den is 1 outside Q, and over Q the least common denominator.
+    """
+    pairs = _scalars(f, upto)
+    if f.ring.modulus is not None:
+        return pairs, 1
+    den = 1
+    for _, c in pairs:
+        den = lcm(den, c.denominator)
+    return [(i, c.numerator * (den // c.denominator)) for i, c in pairs], den
+
+
+def _lifted(ring: CoeffRing, acc: list, den: int, n: int) -> PowerSeries:
+    """The series with acc[i]/den at t^i, acc unreduced, known through n."""
+    m = ring.modulus
+    n = capped(n)
+    coeffs = {}
+    for i, c in enumerate(acc[: n + 1]):
+        if c:
+            c = Fraction(c, den) if m is None else c % m
+            if c:
+                coeffs[i] = RingElem(ring, {0: c})
+    # built without the constructor's per-coefficient checks: every key
+    # lies in [0, n] and every value is a nonzero element over ring
+    out = object.__new__(PowerSeries)
+    out.ring, out.trunc, out.coeffs = ring, n, coeffs
+    return out
+
+
+def _mul_plain(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
+    (xs, da), (ys, db) = _integers(a, n), _integers(b, n)
+    if not xs or not ys:
+        return PowerSeries(a.ring, {}, n)
+    top = min(n, xs[-1][0] + ys[-1][0])
+    acc = [0] * (top + 1)
+    for i, x in xs:
+        for j, y in ys:
+            e = i + j
+            if e > top:
+                break
+            acc[e] += x * y
+    return _lifted(a.ring, acc, da * db, n)
+
+
+def _compose_plain(f: PowerSeries, g: PowerSeries, n: int) -> PowerSeries:
+    """f(g) through n as sum_k f_k g^k, over the denominator e * d^kmax.
+
+    With f_k = F_k/e and g = G/d, f_k g^k = F_k d^(kmax-k) G^k / (e d^kmax),
+    so the sum runs on integers; kmax is the last k for which g^k reaches
+    the result.
+    """
+    m = f.ring.modulus
+    top = f.degree() or 0  # None for f = 0
+    # no exponent past deg f * deg g arises, even when n is EXACT
+    cap = max(min(n, top * (g.degree() or 0)), 0)
+    row, d = _integers(g, cap)
+    og = row[0][0] if row else cap + 1
+    kmax = min(top, cap // og)
+    fs, ef = _integers(f, kmax)
+    fs = dict(fs)
+    dpow = [1]  # d^0 .. d^kmax
+    for _ in range(kmax):
+        dpow.append(dpow[-1] * d)
+    acc = [0] * (cap + 1)
+    acc[0] = fs.get(0, 0) * dpow[kmax]
+    power = [0] * (cap + 1)  # G^k through cap, reduced modulo m
+    for j, b in row:
+        power[j] = b
+    lo = og  # G^k vanishes below k * og
+    for k in range(1, kmax + 1):
+        c = fs.get(k)
+        if c is not None:
+            c *= dpow[kmax - k]
+            for i in range(lo, cap + 1):
+                a = power[i]
+                if a:
+                    acc[i] += a * c
+        if k == kmax:
+            break
+        nxt = [0] * (cap + 1)
+        for i in range(lo, cap + 1):
+            a = power[i]
+            if a:
+                for j, b in row:
+                    e = i + j
+                    if e > cap:
+                        break
+                    nxt[e] += a * b
+        power = nxt if m is None else [x % m for x in nxt]
+        lo += og
+    return _lifted(f.ring, acc, ef * dpow[kmax], n)
+
+
+def _reciprocal_plain(f: PowerSeries, b0, top: int) -> PowerSeries:
+    m = f.ring.modulus
+    fs = _scalars(f, top)
+    out = [b0] + [0] * top
+    for i in range(1, top + 1):
+        s = 0
+        for j, a in fs:
+            if j > i:
+                break
+            if j:
+                s += a * out[i - j]
+        out[i] = -(b0 * s) if m is None else -(b0 * s) % m
+    return _lifted(f.ring, out, 1, f.trunc)
+
+
 def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Substitute g into f.  Needs g(0) = 0.
 
-    The running power g^k is kept as a plain {exponent: coefficient}
-    dict over g's coefficients up to the result bound, and each row of a
-    product stops at that bound; no intermediate series is built.  A
-    coefficient equal to one is used as is, never multiplied by, so an
-    elementary substitution t + c*t^s costs one multiplication per
-    binomial term of each power: O(N^2) for the whole composition.
+    The bound is computed here; the sum of f_k g^k then runs on one of
+    two paths, chosen by _plain(ring) alone.  Over Q, F_p and Z/p^K
+    (no v) _compose_plain keeps g^k as a list of integers through the
+    bound: residues reduced modulo m once per entry of each power, or
+    over Q numerators over one common denominator, so each output
+    coefficient becomes a residue or a Fraction once.  Over [v] and Poly
+    g^k is a plain {exponent: RingElem} dict, and a coefficient equal to
+    one is used as is, never multiplied by, so an elementary
+    substitution t + c*t^s costs one multiplication per binomial term of
+    each power.  Either way each row of a product stops at the bound,
+    and no intermediate series is built.
     """
     f._check(g)
     if 0 in g.coeffs:
@@ -207,6 +354,8 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     from_f = lowered(capped((f.trunc + 1) * og), 1)
     from_g = lowered(ofu, 1) * og + g.trunc
     n = capped(min(from_f, from_g))
+    if _plain(f.ring):
+        return _compose_plain(f, g, n)
     out = {}
     if 0 in f.coeffs:
         out[0] = f.coeffs[0]
@@ -255,8 +404,10 @@ def reciprocal(f: PowerSeries) -> PowerSeries:
     if f.trunc == EXACT and f.coeffs.keys() != {0}:
         raise PrecisionError("reciprocal of an exact series is infinite; truncate")
     b0 = a0.inverse()
-    out = {0: b0}
     top = 0 if f.trunc == EXACT else f.trunc
+    if _plain(f.ring):
+        return _reciprocal_plain(f, b0.terms[0], top)
+    out = {0: b0}
     for i in range(1, top + 1):
         s = None
         for j in range(1, i + 1):
@@ -388,13 +539,18 @@ def is_canonical(f: PowerSeries):
 
 
 def weierstrass_rank(f: PowerSeries) -> int:
-    """Index of the first unit coefficient."""
+    """Index of the first unit coefficient.
+
+    Raises PrecisionError when no coefficient through a finite truncation
+    is a unit, and NotAUnitError when f is exact and none is: then no
+    coefficient ever is.
+    """
     for i in sorted(f.coeffs):
         if f.coeffs[i].is_unit():
             return i
-    raise PrecisionError(
-        f"no unit coefficient up to truncation {f.trunc}"
-    )
+    if f.trunc == EXACT:
+        raise NotAUnitError(f"no coefficient of the exact series {format_series(f)} is a unit")
+    raise PrecisionError(f"no unit coefficient up to truncation {f.trunc}")
 
 
 # -- text form -------------------------------------------------------------

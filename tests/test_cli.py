@@ -78,6 +78,19 @@ class TestPinnedCommands:
         assert data["presentation"]["quotient"] == "F[t]/(t)"
         assert data["bruteforce_dims"] == [1, 0, 0, 0, 0, 0, 0]
 
+    def test_hochschild_exact_zero_derivative(self, capsys):
+        # u = t^5 over F5: u' = 0 exactly, so nothing is divided out
+        argv = ["hochschild", "--ring", "F5", "--series", "t^5", "--trunc", "exact"]
+        code, out, _ = run(argv + ["--maxdeg", "4", "--json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["rank"] == "infinity"
+        assert data["presentation"]["quotient"] == "F[[t]]"
+        assert data["bruteforce_dims"] == [1] * 5
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "rank: infinity" in out.splitlines()
+
     def test_canonicalize_quadratic(self, capsys):
         code, out, _ = run(
             ["canonicalize", "--ring", "Q", "--series", "t^2 + t^3", "--trunc", "8"],

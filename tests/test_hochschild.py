@@ -182,6 +182,17 @@ class TestClosedForm:
         with pytest.raises(PrecisionError):
             hh_closed_form(even(F5, {5: 1}, 10))
 
+    def test_field_uprime_exactly_zero(self):
+        # u' = 5t^4 = 0 is known completely: the quotient is all of F[[t]]
+        for M in (even(F5, {5: 1}, EXACT), even(F5V, {5: F5V.el({4: 1})}, EXACT)):
+            r = hh_closed_form(M)
+            assert (r.rank, r.quotient, r.torsion) == (None, "F[[t]]", "not-applicable")
+            assert r.to_json()["rank"] == "infinity"
+        assert hh_bruteforce(even(F5, {5: 1}, EXACT), 4) == [1] * 5
+        # an exact u' whose only coefficient is no unit is not a zero u'
+        with pytest.raises(NotAUnitError):
+            hh_closed_form(even(F5V, {2: F5V.el({0: 1, 1: 1})}, EXACT))
+
     def test_graded_field_non_unit_leading_uprime(self):
         # 1 + v is no unit of F5[v, 1/v], so neither is u's leading coefficient
         for lead in ({1: F5V.el({0: 1, 1: 1})}, {2: F5V.el({0: 1, 1: 1})}):

@@ -1,6 +1,7 @@
 """Power series arithmetic: pinned examples and structural properties."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from moorealg.errors import (
     CompositionError,
     HeightUndefinedError,
     InternalError,
+    MooreError,
+    NotAUnitError,
     NotInvertibleError,
     ParseError,
     PrecisionError,
@@ -102,6 +105,11 @@ class TestPinnedValues:
         assert weierstrass_rank(parse_series(Z56V, "5 + 3*v^3*t^2", 8)) == 2
         with pytest.raises(PrecisionError):
             weierstrass_rank(parse_series(Z56, "5 + 25*t", 8))
+        # exact: no coefficient will ever be a unit, and the message says so
+        # without printing the EXACT sentinel
+        with pytest.raises(NotAUnitError) as err:
+            weierstrass_rank(parse_series(Z56, "5 + 25*t", EXACT))
+        assert str(EXACT) not in str(err.value)
 
     def test_super_derivative(self):
         f = qs("t^2 + t^3 + 4*t^5", 8)
@@ -346,7 +354,7 @@ class TestComposeOracle:
 class TestReciprocal:
     def test_inverts_to_the_truncation(self):
         rng = random.Random(13)
-        for ring in (Z56, Z34V):
+        for ring in (Q, F7, Z56, Z34V):
             for n in (0, 1, 4, 9):
                 for _ in range(4):
                     f = rand_series(ring, rng, n)
@@ -366,6 +374,79 @@ class TestReciprocal:
             reciprocal(parse_series(Z56, "5 + t", 4))
         with pytest.raises(NotInvertibleError):
             reciprocal(parse_series(Q, "t", 4))
+
+
+def laurent_twin(f: PowerSeries) -> PowerSeries:
+    """f over the same ring with [v], every coefficient at v^0.
+
+    The [v] twin takes the dict path of compose, mul and reciprocal, so it
+    checks the plain-scalar path against the other one.
+    """
+    r = f.ring
+    rv = CoeffRing(r.mode, p=r.p, K=r.K, laurent=True)
+    return PowerSeries(rv, {i: rv.el({0: c.terms[0]}) for i, c in f.coeffs.items()}, f.trunc)
+
+
+class TestPlainKernel:
+    """The plain-scalar path of Q, F_p and Z/p^K against the [v] dict path."""
+
+    RINGS = (Q, F7, CoeffRing("Fp", p=2), Z53)
+
+    @staticmethod
+    def _draw(ring, rng, lo):
+        bound = rng.choice((-1, 0, 1, rng.randint(2, 6), rng.randint(2, 6), EXACT, EXACT))
+        top = rng.randint(lo, 6) if bound == EXACT else bound
+        density = rng.choice((0.0, 0.5, 1.0, 1.0))  # 0.0 draws the zero series
+        coeffs = {i: rand_elem(ring, rng) for i in range(lo, top + 1) if rng.random() < density}
+        if ring.mode == "Zp" and coeffs and rng.random() < 0.3:
+            # a nilpotent leading coefficient: its powers die out mod p^K
+            coeffs[min(coeffs)] = ring.from_int(ring.p * rng.randrange(1, ring.p))
+        return PowerSeries(ring, coeffs, bound)
+
+    @staticmethod
+    def _outcome(op, *args):
+        try:
+            return op(*args)
+        except MooreError as err:
+            return type(err)
+
+    def _check_twins(self, plain, twin):
+        if isinstance(plain, type):
+            assert plain is twin
+            return
+        ring = plain.ring
+        assert plain.trunc == twin.trunc
+        assert {i: c.terms for i, c in plain.coeffs.items()} == {
+            i: c.terms for i, c in twin.coeffs.items()
+        }
+        # {0: Fraction(1)} == {0: 1}, so the scalar type is checked apart
+        for c in plain.coeffs.values():
+            ((k, x),) = c.terms.items()
+            assert k == 0
+            if ring.mode == "Q":
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < ring.modulus
+
+    def test_matches_the_dict_path(self):
+        rng = random.Random(29)
+        for ring in self.RINGS:
+            for _ in range(150):
+                f = self._draw(ring, rng, 0)
+                g = self._draw(ring, rng, rng.choice((1, 1, 2, 3)))  # order >= 2 too
+                u = f + PowerSeries(ring, {0: rand_unit(ring, rng)}, EXACT)
+                h = g + PowerSeries(ring, {1: rand_unit(ring, rng)}, EXACT)
+                ft, gt, ut, ht = map(laurent_twin, (f, g, u, h))
+                for op, args, targs in (
+                    (compose, (f, g), (ft, gt)),
+                    (compose, (g, h), (gt, ht)),
+                    (PowerSeries.__mul__, (f, g), (ft, gt)),
+                    (PowerSeries.__mul__, (u, f), (ut, ft)),
+                    (reciprocal, (u,), (ut,)),
+                    (reciprocal, (f,), (ft,)),
+                    (reversion, (h,), (ht,)),
+                ):
+                    self._check_twins(self._outcome(op, *args), self._outcome(op, *targs))
 
 
 class TestHeight:

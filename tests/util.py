@@ -138,7 +138,8 @@ def reversion_by_coefficients(f: PowerSeries) -> PowerSeries:
 
     The reference for moorealg.series.reversion: the k-th coefficient of
     f(g) - t is f_1 times the error in g_k, so each pass corrects one
-    coefficient.  O(n) compositions; same checks and exceptions.
+    coefficient.  O(n) compositions, each by compose_by_powers, so no
+    series arithmetic of the library is used; same checks and exceptions.
     """
     if 0 in f.coeffs:
         raise NotInvertibleError("series has a constant term")
@@ -151,21 +152,22 @@ def reversion_by_coefficients(f: PowerSeries) -> PowerSeries:
     inv1 = f1.inverse()
     g = PowerSeries(f.ring, {1: inv1}, n)
     for k in range(2, n + 1):
-        err = compose(f, g) - ps_t(f.ring, n)
+        err = compose_by_powers(f, g) - ps_t(f.ring, n)
         c = err.coeffs.get(k)
         if c:
             g = g - PowerSeries(f.ring, {k: c * inv1}, n)
-    if any(i <= n for i in (compose(f, g) - ps_t(f.ring, n)).coeffs):
+    if any(i <= n for i in (compose_by_powers(f, g) - ps_t(f.ring, n)).coeffs):
         raise InternalError(f"reversion failed to verify at truncation {n}")
     return g
 
 
 def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Substitute g into f, one truncated series product per power of g.
+    """Substitute g into f, one truncated product per power of g.
 
     The reference for moorealg.series.compose: the same bound and
-    checks, with g^k built as a PowerSeries and truncated after every
-    product.  O(N^3) for dense inputs.
+    checks, with g^k built by a double loop of RingElem products of its
+    own, cut at the bound after every product, so it shares no series
+    arithmetic with the library.  O(N^3) for dense inputs.
     """
     f._check(g)
     if 0 in g.coeffs:
@@ -178,23 +180,28 @@ def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     out = {}
     if 0 in f.coeffs:
         out[0] = f.coeffs[0]
-    gp = g.truncated(n) if n < g.trunc else g
-    top = f.degree()
-    if top is not None:
-        k = 1
-        power = gp
-        while k <= top and power.order() <= n:
-            c = f.coeffs.get(k)
-            if c is not None:
-                for i, a in power.coeffs.items():
-                    if i > n:
-                        continue
-                    s = out.get(i)
-                    p = a * c
-                    out[i] = p if s is None else s + p
-            k += 1
-            if k <= top:
-                power = (power * gp).truncated(n)
+    gs = {j: b for j, b in g.coeffs.items() if j <= n}
+    power = dict(gs)  # g^k through n, k = 1, 2, ...
+    top = f.degree() or 0
+    for k in range(1, top + 1):
+        c = f.coeffs.get(k)
+        if c is not None:
+            for i, a in power.items():
+                s = out.get(i)
+                p = a * c
+                out[i] = p if s is None else s + p
+        if k == top:
+            break
+        nxt = {}
+        for i, a in power.items():
+            for j, b in gs.items():
+                if i + j <= n:
+                    s = nxt.get(i + j)
+                    p = a * b
+                    nxt[i + j] = p if s is None else s + p
+        power = {i: a for i, a in nxt.items() if a}
+        if not power:
+            break
     return PowerSeries(f.ring, out, n)
 
 
