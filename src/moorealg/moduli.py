@@ -42,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
+from ._ntheory import factor, primitive_root
 from .errors import (
     FieldRequiredError,
     IncompatibleRingError,
@@ -222,10 +223,8 @@ def act_full(A: PowerSeries, B: PowerSeries, G: PowerSeries, F: PowerSeries):
 
 def _class_rep_q(c: Fraction, n: int) -> Fraction:
     """Smallest positive-exponent representative of c modulo n-th powers."""
-    from sympy import factorint
-
-    exps = dict(factorint(abs(c.numerator)))
-    for q, k in factorint(c.denominator).items():
+    exps = factor(abs(c.numerator))
+    for q, k in factor(c.denominator).items():
         exps[q] = exps.get(q, 0) - k
     rep = Fraction(1)
     for q, k in exps.items():
@@ -237,16 +236,28 @@ def _class_rep_q(c: Fraction, n: int) -> Fraction:
 
 
 def _class_rep_fp(c: int, p: int, n: int) -> int:
-    """Representative of c modulo n-th powers in the prime field."""
+    """Representative of c modulo n-th powers in the prime field.
+
+    With g the smallest primitive root and c = g^a, the class of c is
+    g^(a mod d), d = gcd(n, p - 1).  Only a mod d is needed, so the log
+    is taken in the order-d subgroup, of y = c^((p-1)/d) to the base
+    h = g^((p-1)/d), by baby-step giant-step: O(sqrt(d)) with d <= n.
+    """
     d = gcd(n, p - 1)
     if d == 1 or c == 1:
         return 1
-    from sympy.ntheory import discrete_log
-    from sympy.ntheory.residue_ntheory import primitive_root
-
     g = primitive_root(p)
-    a = discrete_log(p, c, g)
-    return pow(g, a % d, p)
+    e = (p - 1) // d
+    y, h = pow(c, e, p), pow(g, e, p)
+    m = isqrt(d - 1) + 1
+    baby = {pow(h, j, p): j for j in range(m)}
+    step = pow(h, -m, p)
+    for i in range(m):
+        j = baby.get(y)
+        if j is not None:
+            return pow(g, i * m + j, p)
+        y = y * step % p
+    raise InternalError(f"{c} has no logarithm to the base {g} modulo {p}")
 
 
 def _field_anchor(u: PowerSeries) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from ._ntheory import is_prime
 from .errors import (
     IncompatibleRingError,
     NoUniformizerError,
@@ -37,24 +38,6 @@ from .errors import (
 )
 
 _RING_RE = re.compile(r"^(Q|F(\d+)|Zp:(\d+):(\d+))(\[v\])?$")
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    f = 49
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 class CoeffRing:
@@ -84,7 +67,7 @@ class CoeffRing:
         if mode not in ("Q", "Fp", "Zp", "Poly"):
             raise ValueError(f"unknown ring mode {mode!r}")
         if mode in ("Fp", "Zp"):
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
         if mode == "Zp" and (K is None or K < 1):
             raise ValueError("Zp mode needs a precision K >= 1")
@@ -141,6 +124,21 @@ class CoeffRing:
             return c
         return c % m
 
+    def _scalar(self, c):
+        """_bnorm for the element constructors, which take outside scalars.
+
+        In the modular modes only an integer has a residue: a Fraction
+        counts as its numerator when its denominator is 1, and anything
+        else raises.  The arithmetic calls _bnorm on its own residues.
+        """
+        if self.modulus is not None and not isinstance(c, int):
+            if not (isinstance(c, Fraction) and c.denominator == 1):
+                raise IncompatibleRingError(
+                    f"{c!r} is not an integer scalar of {self.spec()}"
+                )
+            c = c.numerator
+        return self._bnorm(c)
+
     def _zero_key(self):
         if self.mode == "Poly":
             return (0,) * len(self.symbols)
@@ -152,7 +150,7 @@ class CoeffRing:
         """Build an element from a raw {key: scalar} map (normalizing)."""
         out = {}
         for k, c in terms.items():
-            c = self._bnorm(c)
+            c = self._scalar(c)
             if c:
                 out[k] = c
         return RingElem(self, out)
@@ -164,7 +162,7 @@ class CoeffRing:
         return self.from_int(1)
 
     def from_int(self, n) -> "RingElem":
-        c = self._bnorm(n)
+        c = self._scalar(n)
         if not c:
             return RingElem(self, {})
         return RingElem(self, {self._zero_key(): c})
@@ -172,7 +170,7 @@ class CoeffRing:
     def vpow(self, j: int, c=1) -> "RingElem":
         if not self.laurent:
             raise NoUniformizerError("this ring has no Laurent variable v")
-        c = self._bnorm(c)
+        c = self._scalar(c)
         if not c:
             return RingElem(self, {})
         return RingElem(self, {j: c})
@@ -371,11 +369,11 @@ def parse_ring(text: str) -> CoeffRing:
         return CoeffRing("Q", laurent=lau)
     if m.group(2):
         p = int(m.group(2))
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ParseError(f"modulus {p} is not prime", 1)
         return CoeffRing("Fp", p=p, laurent=lau)
     p, K = int(m.group(3)), int(m.group(4))
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ParseError(f"modulus {p} is not prime", 3)
     if K < 1:
         raise ParseError("precision must be at least 1", 0)

@@ -429,6 +429,18 @@ class TestOtherVerbs:
         assert fields["height"] == "3"
         assert fields["class"] == "1"
 
+    def test_invariant_over_a_61_bit_prime(self, capsys):
+        # 2^61 - 1 used to be tested for primality by trial division up to
+        # its square root; 37 is its smallest primitive root, and 3 is not
+        # a square modulo it
+        code, out, _ = run(
+            ["invariant", "--ring", "F2305843009213693951", "--series", "3*t^2 + t^3",
+             "--trunc", "8"],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip().splitlines() == ["height: 2", "class: 37"]
+
     def test_audit_flags_degree_mismatch(self, capsys):
         code, out, _ = run(
             [

@@ -1,12 +1,16 @@
 """Classification layer: the action, orbit invariants, canonical forms."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
+import moorealg
 from moorealg.errors import (
     FieldRequiredError,
     HeightUndefinedError,
@@ -353,6 +357,108 @@ class TestOrbitInvariant:
             orbit_invariant_char0(M)
 
 
+def _sympy_class_rep_q(c, n):
+    """The rational class representative as sympy's factorint gives it."""
+    from sympy import factorint
+
+    exps = dict(factorint(abs(c.numerator)))
+    for q, k in factorint(c.denominator).items():
+        exps[q] = exps.get(q, 0) - k
+    rep = Fraction(1)
+    for q, k in exps.items():
+        if k % n:
+            rep *= Fraction(q) ** (k % n)
+    if n % 2 == 0 and c < 0:
+        rep = -rep
+    return rep
+
+
+def _sympy_class_rep_fp(c, p, n):
+    """The prime-field class representative by sympy's primitive root and log."""
+    from sympy.ntheory import discrete_log
+    from sympy.ntheory.residue_ntheory import primitive_root
+
+    d = gcd(n, p - 1)
+    if d == 1 or c == 1:
+        return 1
+    g = primitive_root(p)
+    return pow(g, discrete_log(p, c, g) % d, p)
+
+
+class TestClassRepsAgainstSympy:
+    # a seeded corpus against sympy's factorint, primitive_root and
+    # discrete_log, which the library no longer imports
+
+    def test_rational_corpus(self):
+        from sympy import nextprime
+
+        rng = random.Random(1301)
+        p12, q12 = 100000000003, 100001000009  # two 12-digit primes
+        nums = [1, p12 * q12, p12**2 * 9999, 1000000000039**2, 2**99]
+        # perfect powers, with bases up to 10^6 or 10^(30/k)
+        nums += [
+            rng.randrange(2, min(10**6, int(10 ** (30 / k)))) ** k
+            for k in range(2, 13)
+            for _ in range(3)
+        ]
+        nums += [rng.randrange(1, 10**15) for _ in range(40)]
+        nums += [
+            rng.randrange(1, 10**6) * nextprime(rng.randrange(10**23)) for _ in range(15)
+        ]
+        nums += [
+            rng.randrange(1, 10**4) ** rng.randrange(2, 6) * rng.randrange(1, 10**6)
+            for _ in range(20)
+        ]
+        dens = [1, 1, 2**40, 3**25, p12] + [rng.randrange(1, 10**12) for _ in range(40)]
+        assert max(nums) <= 10**30
+        for i, num in enumerate(nums):
+            n = 1 + i % 12
+            c = Fraction(rng.choice((1, -1)) * num, rng.choice(dens))
+            got = moduli._class_rep_q(c, n)
+            assert got == _sympy_class_rep_q(c, n), (c, n)
+            assert type(got) is Fraction
+
+    def test_prime_field_corpus(self):
+        from sympy import prevprime, randprime
+
+        rng = random.Random(1302)
+        primes = [2, 3, 5, 7, 8191, prevprime(10**5)]
+        primes += [randprime(2, 10**5) for _ in range(60)]
+        # 61-bit primes with smooth p - 1, so that sympy's log is quick
+        primes += [2**61 - 1, 1269221146860616951, 1681552155375457861, 1740290253200640181]
+        for p in primes:
+            cs = {1, p - 1} | {rng.randrange(1, p) for _ in range(4)}
+            for n in range(1, 13):
+                if n % p == 0:
+                    continue
+                for c in cs:
+                    got = moduli._class_rep_fp(c, p, n)
+                    assert got == _sympy_class_rep_fp(c, p, n), (c, p, n)
+                    assert type(got) is int
+
+    def test_no_sympy_at_run_time(self):
+        src = os.path.dirname(os.path.dirname(moorealg.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = """
+import sys
+from moorealg import cli
+from moorealg.moduli import MooreAlgebra, orbit_invariant_char0
+from moorealg.rings import CoeffRing
+from moorealg.series import PowerSeries
+for ring in (CoeffRing("Q"), CoeffRing("Fp", 7)):
+    orbit_invariant_char0(MooreAlgebra.even(PowerSeries(ring, {2: 3, 3: 1}, 8)))
+argv = ["invariant", "--ring", "Q", "--series", "12*t^2 + t^3", "--trunc", "8"]
+assert cli.main(argv) == 0
+assert "sympy" not in sys.modules, sorted(m for m in sys.modules if "sympy" in m)
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["height: 2", "class: 3"]
+
+
 class TestCanonicalizeChar0:
     def test_already_reduced_exact(self):
         u = S(Q, {2: 1}, EXACT)
@@ -653,7 +759,8 @@ class TestGradedCanonicalForms:
 def _orbit_oracle(p, K, N):
     """Every admissible series over Z/p^K at truncation N, and its orbit.
 
-    Admissible: u_1 of valuation exactly 1.  Orbits come from union-find
+    Admissible: for K > 1, u_1 of valuation exactly 1; over the field
+    F_p (K = 1), every series with u_0 = 0.  Orbits come from union-find
     under t -> g*t (g a unit) and t -> t + t^m (2 <= m <= N), composed
     by a plain-integer binomial loop.  Returns the series (coefficient
     tuples for t^1..t^N), the root of each one's orbit, and the index of
@@ -661,7 +768,7 @@ def _orbit_oracle(p, K, N):
     """
     mod = p**K
     units = [g for g in range(1, mod) if g % p]
-    linear = [p * a for a in range(1, mod // p) if a % p]
+    linear = range(p) if K == 1 else [p * a for a in range(1, mod // p) if a % p]
     series = [(a,) + rest for a in linear for rest in product(range(mod), repeat=N - 1)]
     index = {s: i for i, s in enumerate(series)}
     parent = list(range(len(series)))
@@ -715,6 +822,29 @@ class TestExhaustiveOrbits:
                 got = (cf.kind, cf.n, form, cf.form.trunc)
                 assert root[index[form]] == r, s
                 assert owner.setdefault(form, r) == r, s
+            assert outcome.setdefault(r, got) == got, s
+
+
+class TestExhaustiveFieldOrbits:
+    @pytest.mark.parametrize("p, N, orbits", [(5, 5, 10), (7, 4, 9), (3, 7, 21), (2, 9, 32)])
+    def test_invariant_separates_orbits(self, p, N, orbits):
+        # every member of an orbit gets the same invariant or the same
+        # error class (WildCaseError when p divides the height), and no
+        # two orbits share an invariant
+        ring = CoeffRing("Fp", p)
+        series, root, _ = _orbit_oracle(p, 1, N)
+        assert len(set(root)) == orbits
+        outcome = {}
+        owner = {}
+        for s, r in zip(series, root):
+            u = S(ring, dict(enumerate(s, 1)), N)
+            try:
+                n, rep = orbit_invariant_char0(MooreAlgebra.even(u))
+            except MooreError as exc:
+                got = type(exc)
+            else:
+                got = (n, tuple(sorted(rep.terms.items())))
+                assert owner.setdefault(got, r) == r, s
             assert outcome.setdefault(r, got) == got, s
 
 

@@ -14,7 +14,9 @@ from moorealg.errors import (
     NotAUnitError,
     ParseError,
 )
+from moorealg import _ntheory
 from moorealg.rings import CoeffRing, format_elem, parse_ring
+from moorealg.series import PowerSeries
 
 from util import inverse_by_geometric_series
 
@@ -215,6 +217,106 @@ class TestRingSpecs:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_ring(text)
+
+
+class TestPrimality:
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7; the next two are strong pseudoprimes to
+    # the first 11 and 12 prime bases, with no factor in the trial table;
+    # 109632756855221220787343101 is a strong pseudoprime to base 2
+    # above the 13-base bound, so the Lucas half rejects it
+    COMPOSITES = [
+        561,
+        3215031751,
+        3825123056546413051,  # 149491 * 747451 * 34233211
+        318665857834031151167461,  # 399165290221 * 798330580441
+        109632756855221220787343101,  # 7403808373237 * 14807616746473
+        (2**61 - 1) * (2**89 - 1),
+        (2**89 - 1) ** 2,
+    ]
+
+    @pytest.mark.parametrize("n", COMPOSITES)
+    def test_rejects_pseudoprimes(self, n):
+        assert not _ntheory.is_prime(n)
+        with pytest.raises(ValueError):
+            CoeffRing("Fp", p=n)
+        with pytest.raises(ParseError):
+            parse_ring(f"F{n}")
+        with pytest.raises(ParseError):
+            parse_ring(f"Zp:{n}:2")
+
+    def test_base_two_pseudoprime_above_the_bound(self):
+        n = 109632756855221220787343101
+        assert n > _ntheory._MR_LIMIT and _ntheory._strong_prp(n, 2)
+        assert not _ntheory._strong_lucas_prp(n)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the first strong Lucas pseudoprimes pass the Lucas half alone,
+        # and base 2 rejects them
+        for n in (5459, 5777, 10877, 16109, 18971):
+            assert _ntheory._strong_lucas_prp(n)
+            assert not _ntheory._strong_prp(n, 2)
+
+    def test_matches_a_sieve(self):
+        top = 70000
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for i in range(2, 265):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(range(i * i, top, i)))
+        assert [n for n in range(-3, top) if _ntheory.is_prime(n)] == [
+            n for n in range(top) if sieve[n]
+        ]
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**89 - 1, 2**127 - 1, 10**24 + 7])
+    def test_large_primes(self, n):
+        # 2^61 - 1 used to take trial division up to its square root
+        assert CoeffRing("Fp", p=n).modulus == n
+        assert parse_ring(f"Zp:{n}:2").modulus == n * n
+
+    def test_factor(self):
+        p, q = 100000000003, 200000000041
+        assert _ntheory.factor(1) == {}
+        assert _ntheory.factor(2**10 * 3**4 * 257) == {2: 10, 3: 4, 257: 1}
+        assert _ntheory.factor(p * q * 7) == {7: 1, p: 1, q: 1}
+        assert _ntheory.factor(p**3 * q**2) == {p: 3, q: 2}
+        assert _ntheory.factor((2**89 - 1) ** 2 * 263) == {263: 1, 2**89 - 1: 2}
+
+    def test_primitive_root_is_the_smallest(self):
+        assert [_ntheory.primitive_root(p) for p in (2, 3, 5, 7, 23, 41, 71, 191)] == [
+            1, 2, 2, 3, 5, 6, 7, 19,
+        ]
+        p = 2**61 - 1
+        g = _ntheory.primitive_root(p)
+        assert g == 37
+        for h in range(2, g):
+            assert any(pow(h, (p - 1) // q, p) == 1 for q in _ntheory.factor(p - 1))
+
+
+class TestIntegerScalars:
+    # outside scalars in the modular modes must be integers; a Fraction
+    # with denominator 1 counts as its numerator
+    @pytest.mark.parametrize("ring", [F7, Z53, CoeffRing("Fp", p=7, laurent=True)])
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.5, 3.0, "3"])
+    def test_non_integers_raise(self, ring, bad):
+        with pytest.raises(IncompatibleRingError):
+            ring.from_int(bad)
+        with pytest.raises(IncompatibleRingError):
+            ring.el({0: bad})
+        with pytest.raises(IncompatibleRingError):
+            PowerSeries(ring, {1: bad}, 5)
+        if ring.laurent:
+            with pytest.raises(IncompatibleRingError):
+                ring.vpow(1, bad)
+
+    def test_whole_fractions_are_integers(self):
+        assert Z53.el({0: Fraction(-250, 2)}) == Z53.from_int(0)
+        assert F7.from_int(Fraction(15, 3)).terms == {0: 5}
+        assert type(F7.from_int(Fraction(15, 3)).terms[0]) is int
+
+    def test_q_keeps_fractions(self):
+        assert Q.from_int(Fraction(1, 2)).terms == {0: Fraction(1, 2)}
+        assert QV.vpow(2, Fraction(3, 4)).terms == {2: Fraction(3, 4)}
 
 
 class TestResidue:
