@@ -12,7 +12,7 @@ v-monomials v^j, -2 <= j <= 2.
 
 from fractions import Fraction
 
-from .ainfty import HochschildCochain, MultiComponent
+from .ainfty import HochschildCochain
 from .rings import CoeffRing
 from .series import PowerSeries
 
@@ -76,9 +76,8 @@ def rand_cochain(ring, basis, rng, degree, max_arity=3, bound=None, min_slot=0):
     unit out of that many leading slots.
     """
     names = basis.names
-    comps = {}
+    table = {}
     for k in range(max_arity + 1):
-        table = {}
         for _ in range(rng.randint(1, 3)):
             word = tuple(rng.choice(names) for _ in range(k))
             if basis.UNIT in word[:min(min_slot, k)]:
@@ -88,7 +87,6 @@ def rand_cochain(ring, basis, rng, degree, max_arity=3, bound=None, min_slot=0):
             if not targets:
                 continue
             table.setdefault(word, {})[rng.choice(targets)] = rand_elem(ring, rng)
-        comps[k] = MultiComponent(ring, basis, k, degree, table)
     if bound is None:
         bound = max_arity + 2
-    return HochschildCochain(ring, basis, degree, comps, bound)
+    return HochschildCochain(ring, basis, degree, table, bound)

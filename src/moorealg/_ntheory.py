@@ -5,7 +5,10 @@
   Baillie-PSW test (Baillie and Wagstaff, Math. Comp. 35, 1980) above.
 * ``factor``: trial division by the table below, then an exact root of
   each perfect power and Pollard's rho in Brent's form (BIT 20, 1980)
-  on each other composite cofactor.
+  on each other composite cofactor.  Rho costs about the square root of
+  the cofactor's least prime factor, so it stops after _RHO_STEPS steps
+  with FactorizationError: two prime factors above about 10^13 are out
+  of reach.
 * ``primitive_root``: the smallest primitive root of a prime.
 
 Nothing runs at import beyond building the prime table.
@@ -16,6 +19,8 @@ from __future__ import annotations
 from itertools import count
 from math import gcd, isqrt
 
+from .errors import FactorizationError
+
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -24,6 +29,9 @@ _PRIMES = (
 )
 _MR_BASES = _PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to _MR_BASES
+# steps of the rho map per cofactor: about a second, and about four times
+# what two 12-digit prime factors need
+_RHO_STEPS = 1 << 20
 
 
 def _strong_prp(n: int, a: int) -> bool:
@@ -107,10 +115,17 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A proper factor of n, odd, composite and not a perfect power."""
+    """A proper factor of n, odd, composite and not a perfect power.
+
+    Raises FactorizationError rather than start a round that could take
+    the steps past _RHO_STEPS.
+    """
+    steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > _RHO_STEPS:
+                raise FactorizationError(n, _RHO_STEPS)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -122,6 +137,7 @@ def _brent_rho(n: int) -> int:
                     q = q * (x - y) % n
                 g = gcd(q, n)
                 k += 128
+            steps += r + min(k, r)
             r *= 2
         if g == n:  # the batch overshot: step back one term at a time
             g = 1
@@ -149,7 +165,10 @@ def _perfect_power(m: int):
 
 
 def factor(n: int) -> dict:
-    """The prime factorization {prime: exponent} of n >= 1."""
+    """The prime factorization {prime: exponent} of n >= 1.
+
+    Raises FactorizationError on a cofactor that rho cannot split.
+    """
     out = {}
     for q in _PRIMES:
         if q * q > n:

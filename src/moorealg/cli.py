@@ -301,7 +301,9 @@ def _cmd_normalize_cochain(opt):
     norm, witness = normalize_cochain(c, m)
     if not is_normalized(norm):
         raise InternalError("normalization did not land in normalized cochains")
-    support = {k: len(norm.component(k).table) for k in range(norm.arity_bound + 1)}
+    support = dict.fromkeys(range(norm.arity_bound + 1), 0)
+    for word in norm.table:
+        support[len(word)] += 1
     lines = [
         f"seed: {seed}",
         "normalized: yes",

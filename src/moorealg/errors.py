@@ -67,6 +67,17 @@ class BasisError(MooreError):
     """Mismatched or malformed graded basis."""
 
 
+class FactorizationError(MooreError):
+    """Pollard-Brent rho found no factor of a composite within its step budget.
+
+    `cofactor` is the composite left unfactored.
+    """
+
+    def __init__(self, cofactor: int, steps: int):
+        super().__init__(f"no factor of the composite {cofactor} in {steps} rho steps")
+        self.cofactor = cofactor
+
+
 class ParseError(MooreError):
     """Text input failed to parse.  `pos` is the 0-based offset."""
 

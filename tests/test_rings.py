@@ -2,13 +2,16 @@
 
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moorealg.cli import main
 from moorealg.errors import (
+    FactorizationError,
     IncompatibleRingError,
     NoUniformizerError,
     NotAUnitError,
@@ -281,6 +284,19 @@ class TestPrimality:
         assert _ntheory.factor(p * q * 7) == {7: 1, p: 1, q: 1}
         assert _ntheory.factor(p**3 * q**2) == {p: 3, q: 2}
         assert _ntheory.factor((2**89 - 1) ** 2 * 263) == {263: 1, 2**89 - 1: 2}
+
+    def test_factor_gives_up_on_two_large_primes(self, capsys):
+        # rho would need about 10^7 steps here; it stops at its budget, and
+        # the class representative over Q fails with it
+        n = 5 * 123110759865763 * 542260659917219
+        start = time.perf_counter()
+        with pytest.raises(FactorizationError) as err:
+            _ntheory.factor(n)
+        assert err.value.cofactor == n // 5
+        assert time.perf_counter() - start < 10
+        argv = ["invariant", "--ring", "Q", "--series", f"{n}*t^2 + t^3", "--trunc", "8"]
+        assert main(argv) == 3
+        assert "FactorizationError" in capsys.readouterr().err
 
     def test_primitive_root_is_the_smallest(self):
         assert [_ntheory.primitive_root(p) for p in (2, 3, 5, 7, 23, 41, 71, 191)] == [

@@ -108,14 +108,17 @@ def rand_derivation(ring, grading: GradingContext, rng, maxlen, parity):
 
 
 def agree_cochain(a: HochschildCochain, b: HochschildCochain, upto=None) -> bool:
-    """Componentwise equality on the arity range both sides know."""
+    """Equal tables on the words both sides know."""
     if a.degree != b.degree:
         return False
     n = min(a.arity_bound, b.arity_bound)
     if upto is not None:
         n = min(n, upto)
-    arities = {k for k in set(a.components) | set(b.components) if k <= n}
-    return all(a.component(k) == b.component(k) for k in arities)
+
+    def known(c):
+        return {w: v for w, v in c.table.items() if len(w) <= n}
+
+    return known(a) == known(b)
 
 
 def h_op(i, c, m):
@@ -338,12 +341,8 @@ def coderivation_extend(m: AInfStructure, word) -> dict:
     for i in range(n):
         if i:
             ppar = (ppar + basis.sparity(word[i - 1])) % 2
-        top = min(n - i, m.max_arity())
-        for k in range(1, top + 1):
-            inner = m.components.get(k)
-            if inner is None:
-                continue
-            vec = inner.table.get(word[i:i + k])
+        for k in range(1, n - i + 1):
+            vec = m.table.get(word[i:i + k])
             if not vec:
                 continue
             for name, c in vec.items():
