@@ -7,7 +7,7 @@
   each perfect power and Pollard's rho in Brent's form (BIT 20, 1980)
   on each other composite cofactor.  Rho costs about the square root of
   the cofactor's least prime factor, so it stops after _RHO_STEPS steps
-  with FactorizationError: two prime factors above about 10^13 are out
+  with FactorizationError: two prime factors above about 10^12 are out
   of reach.
 * ``primitive_root``: the smallest primitive root of a prime.
 
@@ -29,8 +29,8 @@ _PRIMES = (
 )
 _MR_BASES = _PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to _MR_BASES
-# steps of the rho map per cofactor: about a second, and about four times
-# what two 12-digit prime factors need
+# steps of the rho map per cofactor, about four times what the product of
+# two 12-digit primes needs
 _RHO_STEPS = 1 << 20
 
 
