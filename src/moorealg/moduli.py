@@ -25,6 +25,14 @@ what its unit move (d = 1) changes, mod p, so one form-only probe per
 window slot and level predicts the single clearing move, which is then
 applied to form and witness and verified like a search result.
 
+The reduction itself (_dvr_reduce) runs on lists of residues mod p^K:
+form and witness are converted once on entry and lifted back once on
+exit, and each elementary substitution t -> t + a*t^r, in the tail
+loop and in the sweep's moves, is one binomial pass
+(series._substitute_plain), with no RingElem arithmetic in between.
+Over the fields, canonicalize_char0 still composes series: its [v]
+coefficients are not single scalars.
+
 Over Z/p^K[v] (|v| = 2) the orbits are graded: a degree-homogeneous
 datum is u(t) = v^-1 * ubar(v^e * t) with ubar over Z/p^K, a degree-0
 substitution is f(t) = v^-e * fbar(v^e * t), and u o f is
@@ -68,6 +76,9 @@ from .series import (
     ps_t,
     reversion,
     super_derivative,
+    _lifted,
+    _residues,
+    _substitute_plain,
 )
 
 __all__ = [
@@ -345,7 +356,8 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
     p = ring.p
     pi = ring.uniformizer()
     u1 = u.coeff(1)
-    if u1.valuation() != 1:
+    # zero has valuation K, which is 1 over Z/p
+    if not u1 or u1.valuation() != 1:
         raise StructureError(
             "linear coefficient must be a unit multiple of the uniformizer"
         )
@@ -416,11 +428,8 @@ def _canonicalize_graded(u):
 
 def _reduce_tail(cur, wit, k):
     # compose with t - c*t^(s-k+1) until nothing is left above the anchor
-    # k, removing the tail term of least valuation, then lowest exponent
-    # s (over a field every valuation counts as 0); wit=None reduces the
-    # form alone
+    # k, removing the lowest tail exponent s first
     ring = cur.ring
-    dvr = ring.mode == "Zp"
     while True:
         tail = [i for i in cur.coeffs if i > k]
         if not tail:
@@ -429,30 +438,72 @@ def _reduce_tail(cur, wit, k):
             raise PrecisionError(
                 "reduction of an exact series does not terminate; truncate the input"
             )
-        s = min(tail, key=lambda i: (cur.coeffs[i].valuation() if dvr else 0, i))
+        s = min(tail)
         c = cur.coeffs[s] * cur.coeffs[k].scaled(k).inverse()
         h = PowerSeries(ring, {1: ring.one(), s - (k - 1): -c}, EXACT)
         cur = compose(cur, h)
-        if wit is not None:
-            wit = compose(wit, h)
+        wit = compose(wit, h)
+
+
+def _valuation(c: int, p: int, K: int) -> int:
+    if not c:
+        return K
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def _moved(s: PowerSeries, a: int, r: int) -> PowerSeries:
+    # s(t + a*t^r), r >= 2, as compose(s, t + a*t^r) gives it
+    m = s.ring.modulus
+    return _lifted(s.ring, _substitute_plain(_residues(s), a % m, r, s.trunc, m), 1, s.trunc)
 
 
 def _dvr_reduce(cur, wit, k):
-    # the tail reduction, then zero the top base-p digit of the leading
-    # unit coefficient with a linear rescale; wit=None reduces the form
-    # alone
-    cur, wit = _reduce_tail(cur, wit, k)
+    """The Z/p^K tail reduction and top-digit gauge, on residue lists.
+
+    Removes the tail term of least valuation, then lowest exponent s,
+    by t -> t - c*t^(s-k+1) until nothing is left above the anchor k,
+    then zeroes the top base-p digit of the leading unit coefficient
+    by the rescale t -> (1 + gamma*p^(K-1))*t.  Form and witness become
+    lists of residues once on entry and series once on exit, and every
+    substitution keeps their bounds (it is exact, with linear
+    coefficient one), as compose would.  wit=None reduces the form alone.
+    """
     ring = cur.ring
-    p, K = ring.p, ring.K
-    ck = cur.coeffs[k].terms[0]
-    top = ck // p ** (K - 1)
+    p, K, mod = ring.p, ring.K, ring.modulus
+    cs = _residues(cur)
+    ws = None if wit is None else _residues(wit)
+    # with non-units below the anchor, each pass strictly raises the least
+    # (valuation, exponent) of the tail, which takes at most K*(N - k) values
+    passes = K * max(cur.trunc - k, 0)
+    for _ in range(passes + 1):
+        tail = [i for i in range(k + 1, len(cs)) if cs[i]]
+        if not tail:
+            break
+        if cur.trunc == EXACT:
+            raise PrecisionError(
+                "reduction of an exact series does not terminate; truncate the input"
+            )
+        s = min(tail, key=lambda i: (_valuation(cs[i], p, K), i))
+        a = -cs[s] * pow(k * cs[k], -1, mod) % mod
+        cs = _substitute_plain(cs, a, s - (k - 1), cur.trunc, mod)
+        if ws is not None:
+            ws = _substitute_plain(ws, a, s - (k - 1), wit.trunc, mod)
+    else:
+        raise InternalError(f"tail reduction above t^{k} did not end in {passes} passes")
+    top = cs[k] // p ** (K - 1)
     if top:
-        gamma = (-top * pow(k * (ck % p), -1, p)) % p
-        s = PowerSeries(ring, {1: ring.from_int(1 + gamma * p ** (K - 1))}, EXACT)
-        cur = compose(cur, s)
-        if wit is not None:
-            wit = compose(wit, s)
-    return cur, wit
+        gamma = (-top * pow(k * (cs[k] % p), -1, p)) % p
+        g = 1 + gamma * p ** (K - 1)
+        cs = [c * pow(g, i, mod) % mod for i, c in enumerate(cs)]
+        if ws is not None:
+            ws = [c * pow(g, i, mod) % mod for i, c in enumerate(ws)]
+    return _lifted(ring, cs, 1, cur.trunc), (
+        None if wit is None else _lifted(ring, ws, 1, wit.trunc)
+    )
 
 
 def _digit(series, i, j, p):
@@ -467,10 +518,8 @@ def _unit_response(cur, k, m, jm, positions):
     Composes the form alone with the move and re-reduces it without a
     witness; returns one entry per digit position in positions.
     """
-    ring = cur.ring
-    p = ring.p
-    unit = PowerSeries(ring, {1: ring.one(), m: ring.from_int(p**jm)}, EXACT)
-    moved, _ = _dvr_reduce(compose(cur, unit), None, k)
+    p = cur.ring.p
+    moved, _ = _dvr_reduce(_moved(cur, p**jm, m), None, k)
     return [(_digit(moved, i, j, p) - _digit(cur, i, j, p)) % p for j, i in positions]
 
 
@@ -503,8 +552,7 @@ def _digit_sweep(cur, wit, k, source):
     if cur.trunc == EXACT:
         # no truncation, no invisible window, nothing to sweep
         return cur, wit
-    ring = cur.ring
-    p, K = ring.p, ring.K
+    p, K = cur.ring.p, cur.ring.K
     N = cur.trunc
     free = range(max(N - k + 2, 2), N + 1)
     positions = [(j, i) for j in range(1, K) for i in range(2, k + 1)]
@@ -525,8 +573,7 @@ def _digit_sweep(cur, wit, k, source):
             continue
         d = (-dig * pow(v[idx], -1, p)) % p
         prefix = [_digit(cur, ii, jj, p) for jj, ii in positions[:idx]]
-        h = PowerSeries(ring, {1: ring.one(), m: ring.from_int(d * p**jm)}, EXACT)
-        c2, w2 = _dvr_reduce(compose(cur, h), compose(wit, h), k)
+        c2, w2 = _dvr_reduce(_moved(cur, d * p**jm, m), _moved(wit, d * p**jm, m), k)
         if _digit(c2, i, j, p) or [_digit(c2, ii, jj, p) for jj, ii in positions[:idx]] != prefix:
             raise InternalError(
                 f"digit sweep move failed to verify: {format_series(source)}, "

@@ -19,7 +19,10 @@ and Z/p^K without v a coefficient is one base scalar, and the
 plain-scalar kernel works on lists of those scalars (or, over Q, of
 integers over one common denominator), reducing once per output
 coefficient and building RingElems only for the result; over [v] and the
-polynomial mode they multiply RingElems in dicts.
+polynomial mode they multiply RingElems in dicts.  Over F_p and Z/p^K an
+elementary substitution t + a*t^r also has a binomial kernel on dense
+residue lists (_substitute_plain), which the Z/p^K canonical-form
+reduction in moduli runs on.
 
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
@@ -251,6 +254,14 @@ def _lifted(ring: CoeffRing, acc: list, den: int, n: int) -> PowerSeries:
     return out
 
 
+def _residues(f: PowerSeries) -> list:
+    """f's coefficients as residues, f[i] at t^i through deg f; F_p and Z/p^K only."""
+    out = [0] * ((f.degree() or 0) + 1)
+    for i, c in f.coeffs.items():
+        out[i] = c.terms[0]
+    return out
+
+
 def _mul_plain(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
     (xs, da), (ys, db) = _integers(a, n), _integers(b, n)
     if not xs or not ys:
@@ -313,6 +324,33 @@ def _compose_plain(f: PowerSeries, g: PowerSeries, n: int) -> PowerSeries:
         power = nxt if m is None else [x % m for x in nxt]
         lo += og
     return _lifted(f.ring, acc, ef * dpow[kmax], n)
+
+
+def _substitute_plain(f: list, a: int, r: int, n: int, m: int) -> list:
+    """f(t + a*t^r) through t^n, for r >= 2 and f a list of residues mod m.
+
+    f[i] is the coefficient of t^i.  By the binomial theorem f_i*t^i
+    sends f_i*C(i, j)*a^j to t^(i + j*(r-1)), so one pass over (j, i)
+    replaces the powers of t + a*t^r that compose builds.  Returns the
+    residues through min(n, (len(f) - 1)*r), where _compose_plain also
+    stops; compose(f, t + a*t^r) keeps f's bound, and so does the caller.
+    """
+    step = r - 1
+    cap = min(n, (len(f) - 1) * r)
+    out = f[: cap + 1]
+    out += [0] * (cap + 1 - len(out))
+    aj = 1
+    for j in range(1, cap // r + 1):  # i >= j puts a^j at t^(j*r) or later
+        aj = aj * a % m
+        shift = j * step
+        b = aj  # C(i, j) * a^j, for i from j up
+        for i in range(j, min(len(f), cap - shift + 1)):
+            if i > j:
+                b = b * i // (i - j)
+            c = f[i]
+            if c:
+                out[i + shift] += c * b
+    return [x % m for x in out]
 
 
 def _reciprocal_plain(f: PowerSeries, b0, top: int) -> PowerSeries:

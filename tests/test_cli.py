@@ -42,6 +42,22 @@ class TestPinnedCommands:
         assert data["discrepancy"] is True
         assert data["presentation"]["ring"] == "Zp:5:6[v]"
 
+    def test_canonicalize_with_a_sweep_move(self, capsys):
+        # the digit sweep applies a move on this input; CI pins it too
+        series = "15*t + 14560*t^2 + 6015*t^3 + 4174*t^4 + 65*t^5 + 6683*t^7 + 12958*t^9"
+        code, out, _ = run(
+            ["canonicalize", "--ring", "Zp:5:6", "--series", series, "--trunc", "10", "--json"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["n"] == 4
+        assert data["form"] == "5*t + 40*t^2 + 120*t^3 + 59*t^4"
+        assert data["witness"] == (
+            "10417*t + 3830*t^2 + 10215*t^3 + 6497*t^4 + 1750*t^5 + 14448*t^6"
+            " + 10976*t^7 + 7386*t^8 + 9208*t^9 + 8066*t^10"
+        )
+
     @pytest.mark.parametrize("ring", ["F5", "Q"])
     def test_hochschild_bruteforce_dims(self, ring, capsys):
         code, out, _ = run(
@@ -180,6 +196,18 @@ class TestExitCodes:
         code, out, _ = run(["equivalent", "--ring", "Zp:5:3", *pair], capsys)
         assert code == 0
         assert out.strip() == "equivalent: yes"
+
+    @pytest.mark.parametrize("verb", ["canonicalize", "equivalent"])
+    def test_zero_linear_coefficient_over_z_mod_p_is_3(self, verb, capsys):
+        # u_1 = 0 over Zp:5:1 is no unit multiple of 5; it used to reach
+        # the rescale and fail with "NotAUnitError: 0 is not a unit"
+        argv = [verb, "--ring", "Zp:5:1", "--series", "t^2+t^3", "--trunc", "6"]
+        if verb == "equivalent":
+            argv += ["--series2", "t^2+t^3"]
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert "StructureError" in err
 
     def test_negative_trunc_is_2(self, capsys):
         code, out, err = run(

@@ -57,6 +57,7 @@ from moorealg.series import (
 from util import (
     agree_derivation,
     digit_sweep_by_probes,
+    dvr_reduce_by_compose,
     ps_zero,
     rand_series,
 )
@@ -648,6 +649,17 @@ class TestCanonicalizeDvr:
         with pytest.raises(StructureError):
             canonicalize_dvr(S(Z56, {0: 5, 1: 5}, 8))
 
+    def test_zero_linear_coefficient_over_z_mod_p(self):
+        # over Z/p the zero residue has valuation K = 1, yet it is no unit
+        # multiple of p: the gate rejects it as it does for K >= 2
+        for K in (1, 2):
+            ring = CoeffRing("Zp", 5, K)
+            u = S(ring, {2: 1, 3: 1}, 6)
+            with pytest.raises(StructureError):
+                canonicalize_dvr(u)
+            with pytest.raises(StructureError):
+                equivalent(MooreAlgebra.even(u), MooreAlgebra.even(u))
+
     def test_mode_gate(self):
         with pytest.raises(NoUniformizerError):
             canonicalize_dvr(S(Q, {1: 5, 2: 1}, 8))
@@ -906,6 +918,97 @@ class TestDigitSweep:
         with pytest.raises(InternalError) as err:
             canonicalize_dvr(u)
         assert format_series(u) in str(err.value)
+
+
+def _residue_table(s):
+    """(trunc, {i: residue}) of a series over Z/p^K; every residue an int in [0, m)."""
+    table = {}
+    for i, c in s.coeffs.items():
+        ((key, x),) = c.terms.items()
+        assert key == 0 and type(x) is int and 0 <= x < s.ring.modulus
+        table[i] = x
+    return s.trunc, table
+
+
+def _same_reduction(got, want):
+    assert _residue_table(got[0]) == _residue_table(want[0])
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert _residue_table(got[1]) == _residue_table(want[1])
+
+
+class TestDvrReduceOnResidues:
+    """moduli._dvr_reduce on residue lists against dvr_reduce_by_compose."""
+
+    RINGS = ((5, 6), (7, 4), (3, 6), (2, 5), (11, 3), (5, 3))
+
+    @staticmethod
+    def _corpus(seed):
+        # (u, f, k) with anchors 2..7 over every ring, and Z/5^6 at anchor 4,
+        # N = 10, which the digit sweep moves on every draw
+        rng = random.Random(seed)
+        out = []
+        for p, K in TestDvrReduceOnResidues.RINGS:
+            for k in range(2, 8):
+                if k % p == 0:
+                    continue
+                N = rng.choice((k + 1, k + 2, 8, 10, 12))
+                out.append(_anchored_input(rng, p, K, k, N) + (k,))
+        for _ in range(3):
+            out.append(_anchored_input(rng, 5, 6, 4, 10) + (4,))
+        return out
+
+    def test_direct_calls(self):
+        for u, f, k in self._corpus(1515):
+            ring, N = u.ring, u.trunc
+            longer = PowerSeries(ring, f.coeffs, N + 3)
+            for wit in (None, ps_t(ring, N), f, f.truncated(N - 2), longer):
+                _same_reduction(moduli._dvr_reduce(u, wit, k), dvr_reduce_by_compose(u, wit, k))
+
+    def test_calls_made_by_canonicalize_dvr(self, monkeypatch):
+        # every call from the main reduction, the sweep's unit probes
+        # (wit=None) and its applied moves (a witness, inside the sweep)
+        library_reduce, library_sweep = moduli._dvr_reduce, moduli._digit_sweep
+        in_sweep = []
+        seen = []
+
+        def reduce(cur, wit, k):
+            got = library_reduce(cur, wit, k)
+            _same_reduction(got, dvr_reduce_by_compose(cur, wit, k))
+            seen.append((bool(in_sweep), wit is not None))
+            return got
+
+        def sweep(*args):
+            in_sweep.append(True)
+            try:
+                return library_sweep(*args)
+            finally:
+                in_sweep.pop()
+
+        monkeypatch.setattr(moduli, "_dvr_reduce", reduce)
+        monkeypatch.setattr(moduli, "_digit_sweep", sweep)
+        for u, f, _ in self._corpus(1516):
+            for x in (u, compose(u, f)):
+                canonicalize_dvr(x)
+        assert (False, True) in seen  # the main reduction
+        assert (True, False) in seen  # a unit probe
+        assert (True, True) in seen  # an applied sweep move
+
+    def test_exact_input(self):
+        # no tail: only the gauge runs, and the bound stays EXACT
+        u = S(Z56, {1: 5, 3: 1 + 4 * 5**5}, EXACT)
+        got = moduli._dvr_reduce(u, ps_t(Z56, EXACT), 3)
+        _same_reduction(got, dvr_reduce_by_compose(u, ps_t(Z56, EXACT), 3))
+        assert got[0].trunc == got[1].trunc == EXACT
+        with pytest.raises(PrecisionError):
+            moduli._dvr_reduce(S(Z56, {1: 5, 2: 1, 3: 1}, EXACT), None, 2)
+
+    def test_a_stuck_tail_raises(self, monkeypatch):
+        # a substitution that changes nothing would loop for ever; the pass
+        # bound K*(N - k) turns that into an InternalError
+        monkeypatch.setattr(moduli, "_substitute_plain", lambda f, a, r, n, m: f)
+        with pytest.raises(InternalError):
+            moduli._dvr_reduce(S(Z56, {1: 5, 2: 1, 3: 1}, 8), None, 2)
 
 
 class TestEquivalent:

@@ -449,6 +449,33 @@ class TestPlainKernel:
                     self._check_twins(self._outcome(op, *args), self._outcome(op, *targs))
 
 
+class TestSubstitutionKernel:
+    """series._substitute_plain, f(t + a*t^r) by binomials, against compose."""
+
+    RINGS = tuple(CoeffRing("Zp", p, K) for p, K in ((7, 4), (5, 6), (2, 5), (3, 6)))
+
+    def test_matches_compose(self):
+        rng = random.Random(1515)
+        for ring in self.RINGS:
+            p, m = ring.p, ring.modulus
+            for _ in range(120):
+                n = rng.randint(0, 12)
+                density = rng.choice((0.0, 0.5, 1.0))
+                f = [rng.randrange(m) if rng.random() < density else 0 for _ in range(n + 1)]
+                unit = rng.randrange(1, p) + p * rng.randrange(m // p)
+                a = rng.choice((0, unit, p * rng.randrange(m // p)))
+                r = rng.randint(2, 13)
+                fs = PowerSeries(ring, dict(enumerate(f)), n)
+                want = compose(fs, PowerSeries(ring, {1: 1, r: a}, EXACT))
+                got = series._substitute_plain(f, a, r, n, m)
+                assert all(type(x) is int and 0 <= x < m for x in got)
+                # compose keeps f's bound, and the kernel stops where it stops
+                assert want.trunc == n and len(got) <= n + 1
+                assert dict((i, x) for i, x in enumerate(got) if x) == {
+                    i: c.terms[0] for i, c in want.coeffs.items()
+                }
+
+
 class TestHeight:
     def test_zero_series_has_no_height(self):
         with pytest.raises(HeightUndefinedError):

@@ -18,7 +18,6 @@ from moorealg.errors import (
     ParseError,
     PrecisionError,
 )
-from moorealg.moduli import _dvr_reduce
 from moorealg.noncomm import (
     Derivation,
     GradingContext,
@@ -208,15 +207,53 @@ def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     return PowerSeries(f.ring, out, n)
 
 
+def dvr_reduce_by_compose(cur, wit, k):
+    """Tail reduction and top-digit gauge over Z/p^K, one compose per step.
+
+    The reference for moorealg.moduli._dvr_reduce, which runs on residue
+    lists: compose form and witness with t - c*t^(s-k+1), removing the
+    tail term of least valuation, then lowest exponent s, until nothing
+    is left above the anchor k; then rescale t by 1 + gamma*p^(K-1) so
+    that the top base-p digit of the t^k coefficient is zero.  RingElem
+    arithmetic and series.compose throughout; wit=None reduces the form
+    alone.
+    """
+    ring = cur.ring
+    p, K = ring.p, ring.K
+    while True:
+        tail = [i for i in cur.coeffs if i > k]
+        if not tail:
+            break
+        if cur.trunc == EXACT:
+            raise PrecisionError(
+                "reduction of an exact series does not terminate; truncate the input"
+            )
+        s = min(tail, key=lambda i: (cur.coeffs[i].valuation(), i))
+        c = cur.coeffs[s] * cur.coeffs[k].scaled(k).inverse()
+        h = PowerSeries(ring, {1: ring.one(), s - (k - 1): -c}, EXACT)
+        cur = compose(cur, h)
+        if wit is not None:
+            wit = compose(wit, h)
+    ck = cur.coeffs[k].terms[0]
+    top = ck // p ** (K - 1)
+    if top:
+        gamma = (-top * pow(k * (ck % p), -1, p)) % p
+        g = PowerSeries(ring, {1: ring.from_int(1 + gamma * p ** (K - 1))}, EXACT)
+        cur = compose(cur, g)
+        if wit is not None:
+            wit = compose(wit, g)
+    return cur, wit
+
+
 def digit_sweep_by_probes(cur, wit, k):
     """Digit sweep that tries every window move t + d*p^jm*t^m in turn.
 
     The reference for moorealg.moduli._digit_sweep: for each nonzero
     digit (i, j), in the same position order, it composes form and
     witness with every candidate (m, then jm, then d ascending),
-    re-reduces, and keeps the first result that clears the digit and
-    leaves every earlier digit as it was.  O(window * levels * p)
-    compositions per digit.
+    re-reduces by dvr_reduce_by_compose, and keeps the first result that
+    clears the digit and leaves every earlier digit as it was.
+    O(window * levels * p) compositions per digit.
     """
     if cur.trunc == EXACT:
         return cur, wit
@@ -241,7 +278,7 @@ def digit_sweep_by_probes(cur, wit, k):
             for jm in range(j):
                 for d in range(1, p):
                     move = PowerSeries(ring, {1: ring.one(), m: ring.from_int(d * p**jm)}, EXACT)
-                    c2, w2 = _dvr_reduce(compose(cur, move), compose(wit, move), k)
+                    c2, w2 = dvr_reduce_by_compose(compose(cur, move), compose(wit, move), k)
                     if digit(c2, i, j) != 0:
                         continue
                     if [digit(c2, ii, jj) for jj, ii in positions[:idx]] != prefix:
