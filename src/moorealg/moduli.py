@@ -445,9 +445,8 @@ def _reduce_tail(cur, wit, k):
         wit = compose(wit, h)
 
 
-def _valuation(c: int, p: int, K: int) -> int:
-    if not c:
-        return K
+def _valuation(c: int, p: int) -> int:
+    # c nonzero
     v = 0
     while c % p == 0:
         c //= p
@@ -487,7 +486,7 @@ def _dvr_reduce(cur, wit, k):
             raise PrecisionError(
                 "reduction of an exact series does not terminate; truncate the input"
             )
-        s = min(tail, key=lambda i: (_valuation(cs[i], p, K), i))
+        s = min(tail, key=lambda i: (_valuation(cs[i], p), i))
         a = -cs[s] * pow(k * cs[k], -1, mod) % mod
         cs = _substitute_plain(cs, a, s - (k - 1), cur.trunc, mod)
         if ws is not None:

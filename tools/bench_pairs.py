@@ -1,8 +1,7 @@
 """Alternating parent/change runs of perfbench/run.py, summarized as BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --seeds 1501-1510 \
-        [--workload NAME ...] [--seconds S] [--claim WORKLOAD:METRIC] \
-        [--note TEXT] --out BENCH_<n>.json
+        [--claim WORKLOAD:METRIC] [--machine TEXT] --out BENCH_<n>.json
 
 Each side is the committed tree of its revision, extracted by git archive
 into a temporary directory, so both sides run their own perfbench/ and
@@ -10,8 +9,9 @@ src/ and nothing in the repository is touched.  For every workload and
 seed, one pair runs both sides one after the other, the parent first in
 even pairs and the change first in odd ones, one benchmark process at a
 time.  Then each side makes one traced run on seed 1 and hashes its
-outputs on seed 1's traced blocks.  The end-to-end metrics and their
-bounds come from BENCHMARK.json.
+outputs on seed 1's traced blocks.  The workloads, the run length, the
+end-to-end metrics and their bounds come from BENCHMARK.json, and the
+'change' key is the subject of the change commit.
 
 For each metric the file gives both sides' runs, their medians and
 quartiles (statistics.quantiles, n=4), how many pairs the change won,
@@ -150,10 +150,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="revision of the change side (default HEAD)")
     ap.add_argument("--seeds", required=True, help="e.g. 1501-1510 or 3,5,7")
-    ap.add_argument("--workload", action="append", help="repeatable; default every workload")
-    ap.add_argument("--seconds", type=float, help="default: run_seconds in BENCHMARK.json")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
-    ap.add_argument("--note", default="", help="what the change does, for the 'change' key")
     ap.add_argument("--machine", default=None, help="default: platform and CPU count")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     args = ap.parse_args(argv)
@@ -161,8 +158,8 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
-    names = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    names = [w["name"] for w in bench["workloads"]]
     seeds = _seeds(args.seeds)
     revs = {side: _git("rev-parse", rev).decode().strip() for side, rev in
             (("parent", args.parent), ("change", args.change))}
@@ -209,7 +206,7 @@ def main(argv=None) -> int:
                 hashes[side][name] = {"tasks": int(out[0]), "sha256_prefix": out[1]}
 
     result = {
-        "change": args.note,
+        "change": _git("log", "-1", "--format=%s", revs["change"]).decode().strip(),
         "parent_commit": revs["parent"],
         "change_commit": revs["change"],
         "python": platform.python_version(),
