@@ -30,8 +30,10 @@ form and witness are converted once on entry and lifted back once on
 exit, and each elementary substitution t -> t + a*t^r, in the tail
 loop and in the sweep's moves, is one binomial pass
 (series._substitute_plain), with no RingElem arithmetic in between.
-Over the fields, canonicalize_char0 still composes series: its [v]
-coefficients are not single scalars.
+Over the fields canonicalize_char0 composes series, and compose runs
+each of its substitutions t - c*t^r on the same kernel over Q and F_p;
+over the graded fields, whose coefficients are not single scalars, it
+stays on compose's dict path.
 
 Over Z/p^K[v] (|v| = 2) the orbits are graded: a degree-homogeneous
 datum is u(t) = v^-1 * ubar(v^e * t) with ubar over Z/p^K, a degree-0
@@ -79,6 +81,7 @@ from .series import (
     _lifted,
     _residues,
     _substitute_plain,
+    _substituted,
 )
 
 __all__ = [
@@ -428,8 +431,10 @@ def _canonicalize_graded(u):
 
 def _reduce_tail(cur, wit, k):
     # compose with t - c*t^(s-k+1) until nothing is left above the anchor
-    # k, removing the lowest tail exponent s first
+    # k, removing the lowest tail exponent s first; below k every
+    # coefficient is zero, so no such substitution changes u_k
     ring = cur.ring
+    inv = cur.coeffs[k].scaled(k).inverse()
     while True:
         tail = [i for i in cur.coeffs if i > k]
         if not tail:
@@ -439,7 +444,7 @@ def _reduce_tail(cur, wit, k):
                 "reduction of an exact series does not terminate; truncate the input"
             )
         s = min(tail)
-        c = cur.coeffs[s] * cur.coeffs[k].scaled(k).inverse()
+        c = cur.coeffs[s] * inv
         h = PowerSeries(ring, {1: ring.one(), s - (k - 1): -c}, EXACT)
         cur = compose(cur, h)
         wit = compose(wit, h)
@@ -452,12 +457,6 @@ def _valuation(c: int, p: int) -> int:
         c //= p
         v += 1
     return v
-
-
-def _moved(s: PowerSeries, a: int, r: int) -> PowerSeries:
-    # s(t + a*t^r), r >= 2, as compose(s, t + a*t^r) gives it
-    m = s.ring.modulus
-    return _lifted(s.ring, _substitute_plain(_residues(s), a % m, r, s.trunc, m), 1, s.trunc)
 
 
 def _dvr_reduce(cur, wit, k):
@@ -518,7 +517,7 @@ def _unit_response(cur, k, m, jm, positions):
     witness; returns one entry per digit position in positions.
     """
     p = cur.ring.p
-    moved, _ = _dvr_reduce(_moved(cur, p**jm, m), None, k)
+    moved, _ = _dvr_reduce(_substituted(cur, p**jm, m, cur.trunc), None, k)
     return [(_digit(moved, i, j, p) - _digit(cur, i, j, p)) % p for j, i in positions]
 
 
@@ -572,7 +571,10 @@ def _digit_sweep(cur, wit, k, source):
             continue
         d = (-dig * pow(v[idx], -1, p)) % p
         prefix = [_digit(cur, ii, jj, p) for jj, ii in positions[:idx]]
-        c2, w2 = _dvr_reduce(_moved(cur, d * p**jm, m), _moved(wit, d * p**jm, m), k)
+        a = d * p**jm
+        c2, w2 = _dvr_reduce(
+            _substituted(cur, a, m, cur.trunc), _substituted(wit, a, m, wit.trunc), k
+        )
         if _digit(c2, i, j, p) or [_digit(c2, ii, jj, p) for jj, ii in positions[:idx]] != prefix:
             raise InternalError(
                 f"digit sweep move failed to verify: {format_series(source)}, "

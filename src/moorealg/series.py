@@ -19,10 +19,12 @@ and Z/p^K without v a coefficient is one base scalar, and the
 plain-scalar kernel works on lists of those scalars (or, over Q, of
 integers over one common denominator), reducing once per output
 coefficient and building RingElems only for the result; over [v] and the
-polynomial mode they multiply RingElems in dicts.  Over F_p and Z/p^K an
-elementary substitution t + a*t^r also has a binomial kernel on dense
-residue lists (_substitute_plain), which the Z/p^K canonical-form
-reduction in moduli runs on.
+polynomial mode they multiply RingElems in dicts.  On the plain path
+compose runs an elementary substitution t + a*t^r as one binomial pass
+over a dense list (_substitute_plain): residues mod m over F_p and
+Z/p^K, integers over one common denominator over Q.  So the field
+canonical forms, which compose with t - c*t^r, run on it, and the
+Z/p^K reduction in moduli calls it on its residue lists directly.
 
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
@@ -326,31 +328,55 @@ def _compose_plain(f: PowerSeries, g: PowerSeries, n: int) -> PowerSeries:
     return _lifted(f.ring, acc, ef * dpow[kmax], n)
 
 
-def _substitute_plain(f: list, a: int, r: int, n: int, m: int) -> list:
-    """f(t + a*t^r) through t^n, for r >= 2 and f a list of residues mod m.
+def _substitute_plain(f: list, a: int, r: int, n: int, m, d: int = 1) -> list:
+    """f(t + (a/d)*t^r) through t^n, for r >= 2 and f a list of integers.
 
-    f[i] is the coefficient of t^i.  By the binomial theorem f_i*t^i
-    sends f_i*C(i, j)*a^j to t^(i + j*(r-1)), so one pass over (j, i)
+    f[i] is the coefficient of t^i: a residue mod m over F_p and Z/p^K,
+    where d is 1, or over Q (m None) a numerator over a denominator the
+    caller keeps.  By the binomial theorem f_i*t^i sends
+    f_i*C(i, j)*(a/d)^j to t^(i + j*(r-1)), so one pass over (j, i)
     replaces the powers of t + a*t^r that compose builds.  Returns the
-    residues through min(n, (len(f) - 1)*r), where _compose_plain also
-    stops; compose(f, t + a*t^r) keeps f's bound, and so does the caller.
+    entries through min(n, (len(f) - 1)*r), where _compose_plain also
+    stops; with J = (length - 1) // r the last j that reaches them, row j
+    is scaled by a^j*d^(J-j), so the result is over d^J times f's
+    denominator.
     """
     step = r - 1
     cap = min(n, (len(f) - 1) * r)
+    rows = max(cap, 0) // r  # J: i >= j puts a^j at t^(j*r) or later
     out = f[: cap + 1]
+    if d != 1:
+        out = [c * d**rows for c in out]
     out += [0] * (cap + 1 - len(out))
     aj = 1
-    for j in range(1, cap // r + 1):  # i >= j puts a^j at t^(j*r) or later
-        aj = aj * a % m
+    for j in range(1, rows + 1):
+        aj = aj * a if m is None else aj * a % m
         shift = j * step
-        b = aj  # C(i, j) * a^j, for i from j up
+        b = aj if d == 1 else aj * d ** (rows - j)  # C(i, j) * row j's scale
         for i in range(j, min(len(f), cap - shift + 1)):
             if i > j:
                 b = b * i // (i - j)
             c = f[i]
             if c:
                 out[i + shift] += c * b
-    return [x % m for x in out]
+    return out if m is None else [x % m for x in out]
+
+
+def _substituted(f: PowerSeries, a, r: int, n: int) -> PowerSeries:
+    """f(t + a*t^r) through n on _substitute_plain, for r >= 2.
+
+    a is the base scalar: a residue, or a Fraction over Q, where f
+    becomes numerators over its least common denominator.
+    """
+    m = f.ring.modulus
+    if m is not None:
+        return _lifted(f.ring, _substitute_plain(_residues(f), a, r, n, m), 1, n)
+    pairs, den = _integers(f, n)
+    fs = [0] * (pairs[-1][0] + 1 if pairs else 1)
+    for i, c in pairs:
+        fs[i] = c
+    out = _substitute_plain(fs, a.numerator, r, n, None, a.denominator)
+    return _lifted(f.ring, out, den * a.denominator ** (max(len(out) - 1, 0) // r), n)
 
 
 def _reciprocal_plain(f: PowerSeries, b0, top: int) -> PowerSeries:
@@ -373,15 +399,17 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 
     The bound is computed here; the sum of f_k g^k then runs on one of
     two paths, chosen by _plain(ring) alone.  Over Q, F_p and Z/p^K
-    (no v) _compose_plain keeps g^k as a list of integers through the
-    bound: residues reduced modulo m once per entry of each power, or
-    over Q numerators over one common denominator, so each output
-    coefficient becomes a residue or a Fraction once.  Over [v] and Poly
-    g^k is a plain {exponent: RingElem} dict, and a coefficient equal to
-    one is used as is, never multiplied by, so an elementary
+    (no v) an elementary substitution g = t + a*t^r (two terms, the one
+    at t equal to one) is one binomial pass, _substituted, and any other
+    g goes to _compose_plain, which keeps g^k as a list of integers
+    through the bound: residues reduced modulo m once per entry of each
+    power, or over Q numerators over one common denominator, so each
+    output coefficient becomes a residue or a Fraction once.  Over [v]
+    and Poly g^k is a plain {exponent: RingElem} dict, and a coefficient
+    equal to one is used as is, never multiplied by, so an elementary
     substitution t + c*t^s costs one multiplication per binomial term of
-    each power.  Either way each row of a product stops at the bound,
-    and no intermediate series is built.
+    each power.  Every path stops each row at the bound, and no
+    intermediate series is built.
     """
     f._check(g)
     if 0 in g.coeffs:
@@ -393,6 +421,10 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     from_g = lowered(ofu, 1) * og + g.trunc
     n = capped(min(from_f, from_g))
     if _plain(f.ring):
+        gs = g.coeffs
+        if len(gs) == 2 and 1 in gs and gs[1].terms[0] == 1:
+            r = max(gs)
+            return _substituted(f, gs[r].terms[0], r, n)
         return _compose_plain(f, g, n)
     out = {}
     if 0 in f.coeffs:

@@ -294,6 +294,14 @@ class TestComposeOracle:
     def _substitutions(ring, rng, n):
         one = ring.one()
         s = rng.randint(2, max(2, n))
+        # t + a*t^r takes compose's binomial pass on the plain rings: a with
+        # a denominator and a sign over Q, a non-unit over Z/p^K
+        if ring.mode == "Q":
+            a = ring.from_int(Fraction(-7, 3))
+        elif ring.mode == "Zp":
+            a = ring.from_int(ring.p * rng.randrange(1, ring.p))
+        else:
+            a = rand_elem(ring, rng, nonzero=True)
         return (
             PowerSeries(ring, {1: one, s: rand_elem(ring, rng, nonzero=True)}, n),
             PowerSeries(ring, {1: one, s: rand_elem(ring, rng)}, EXACT),
@@ -303,6 +311,10 @@ class TestComposeOracle:
             PowerSeries(ring, {2: one, 3: one, 4: rand_elem(ring, rng)}, EXACT),
             rand_series(ring, rng, n, ord_min=max(1, n - 1)),
             PowerSeries(ring, {}, n),
+            PowerSeries(ring, {1: one, s: a}, EXACT),
+            PowerSeries(ring, {1: one, rng.randint(2, 4): a}, n + 3),
+            PowerSeries(ring, {1: one, n + 2: a}, EXACT),  # r past the bound
+            PowerSeries(ring, {1: one, 2: a}, 2),  # known only through t^2
         )
 
     @staticmethod
@@ -314,6 +326,7 @@ class TestComposeOracle:
             PowerSeries(ring, {0: ring.one(), 2: rand_elem(ring, rng), 3: ring.one()}, EXACT),
             PowerSeries(ring, {0: rand_elem(ring, rng)}, n),
             PowerSeries(ring, {}, n),
+            PowerSeries(ring, {1: rand_elem(ring, rng), 2: ring.one(), 5: rand_elem(ring, rng)}, EXACT),
         )
 
     def test_matches_power_by_power_oracle(self):
@@ -325,6 +338,29 @@ class TestComposeOracle:
                         got, want = compose(f, g), compose_by_powers(f, g)
                         assert got.trunc == want.trunc, (format_series(f), format_series(g))
                         assert got.coeffs == want.coeffs, (format_series(f), format_series(g))
+
+    def test_binomial_pass_only_for_t_plus_a_t_r_on_plain_rings(self, monkeypatch):
+        calls = []
+        kernel = series._substitute_plain
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(series, "_substitute_plain", counted)
+        for ring, plain in ((Q, True), (F7, True), (Z56, True), (QV, False), (F5V, False), (Z34V, False)):
+            one, two = ring.one(), ring.from_int(2)
+            f = PowerSeries(ring, {0: one, 2: two, 3: one, 6: two}, 9)
+            for g, binomial in (
+                (PowerSeries(ring, {1: one, 3: two}, EXACT), plain),
+                (PowerSeries(ring, {1: two, 3: two}, EXACT), False),
+                (PowerSeries(ring, {1: one, 2: one, 3: two}, EXACT), False),
+                (PowerSeries(ring, {1: one}, EXACT), False),
+            ):
+                calls.clear()
+                got, want = compose(f, g), compose_by_powers(f, g)
+                assert bool(calls) is binomial, (ring.spec(), format_series(g))
+                assert got.trunc == want.trunc and got.coeffs == want.coeffs
 
     def test_nilpotent_leading_coefficient_empties_the_powers(self):
         # (5t)^6 = 0 over Z/5^6, so the powers of g run out before f does
@@ -450,7 +486,11 @@ class TestPlainKernel:
 
 
 class TestSubstitutionKernel:
-    """series._substitute_plain, f(t + a*t^r) by binomials, against compose."""
+    """series._substitute_plain, f(t + a*t^r) by binomials, against compose_by_powers.
+
+    compose itself runs this kernel on t + a*t^r, so the reference is the
+    power-by-power oracle, which shares no series arithmetic with it.
+    """
 
     RINGS = tuple(CoeffRing("Zp", p, K) for p, K in ((7, 4), (5, 6), (2, 5), (3, 6)))
 
@@ -466,7 +506,7 @@ class TestSubstitutionKernel:
                 a = rng.choice((0, unit, p * rng.randrange(m // p)))
                 r = rng.randint(2, 13)
                 fs = PowerSeries(ring, dict(enumerate(f)), n)
-                want = compose(fs, PowerSeries(ring, {1: 1, r: a}, EXACT))
+                want = compose_by_powers(fs, PowerSeries(ring, {1: 1, r: a}, EXACT))
                 got = series._substitute_plain(f, a, r, n, m)
                 assert all(type(x) is int and 0 <= x < m for x in got)
                 # compose keeps f's bound, and the kernel stops where it stops

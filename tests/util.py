@@ -32,7 +32,6 @@ from moorealg.series import (
     EXACT,
     PowerSeries,
     capped,
-    compose,
     lowered,
     ps_t,
     _parse_elem_sum,
@@ -208,15 +207,16 @@ def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 
 
 def dvr_reduce_by_compose(cur, wit, k):
-    """Tail reduction and top-digit gauge over Z/p^K, one compose per step.
+    """Tail reduction and top-digit gauge over Z/p^K, one composition per step.
 
     The reference for moorealg.moduli._dvr_reduce, which runs on residue
     lists: compose form and witness with t - c*t^(s-k+1), removing the
     tail term of least valuation, then lowest exponent s, until nothing
     is left above the anchor k; then rescale t by 1 + gamma*p^(K-1) so
     that the top base-p digit of the t^k coefficient is zero.  RingElem
-    arithmetic and series.compose throughout; wit=None reduces the form
-    alone.
+    arithmetic and compose_by_powers throughout, never the binomial
+    kernel that both _dvr_reduce and series.compose run; wit=None
+    reduces the form alone.
     """
     ring = cur.ring
     p, K = ring.p, ring.K
@@ -231,17 +231,17 @@ def dvr_reduce_by_compose(cur, wit, k):
         s = min(tail, key=lambda i: (cur.coeffs[i].valuation(), i))
         c = cur.coeffs[s] * cur.coeffs[k].scaled(k).inverse()
         h = PowerSeries(ring, {1: ring.one(), s - (k - 1): -c}, EXACT)
-        cur = compose(cur, h)
+        cur = compose_by_powers(cur, h)
         if wit is not None:
-            wit = compose(wit, h)
+            wit = compose_by_powers(wit, h)
     ck = cur.coeffs[k].terms[0]
     top = ck // p ** (K - 1)
     if top:
         gamma = (-top * pow(k * (ck % p), -1, p)) % p
         g = PowerSeries(ring, {1: ring.from_int(1 + gamma * p ** (K - 1))}, EXACT)
-        cur = compose(cur, g)
+        cur = compose_by_powers(cur, g)
         if wit is not None:
-            wit = compose(wit, g)
+            wit = compose_by_powers(wit, g)
     return cur, wit
 
 
@@ -250,9 +250,10 @@ def digit_sweep_by_probes(cur, wit, k):
 
     The reference for moorealg.moduli._digit_sweep: for each nonzero
     digit (i, j), in the same position order, it composes form and
-    witness with every candidate (m, then jm, then d ascending),
-    re-reduces by dvr_reduce_by_compose, and keeps the first result that
-    clears the digit and leaves every earlier digit as it was.
+    witness with every candidate (m, then jm, then d ascending) by
+    compose_by_powers, re-reduces by dvr_reduce_by_compose, and keeps
+    the first result that clears the digit and leaves every earlier
+    digit as it was.
     O(window * levels * p) compositions per digit.
     """
     if cur.trunc == EXACT:
@@ -278,7 +279,9 @@ def digit_sweep_by_probes(cur, wit, k):
             for jm in range(j):
                 for d in range(1, p):
                     move = PowerSeries(ring, {1: ring.one(), m: ring.from_int(d * p**jm)}, EXACT)
-                    c2, w2 = dvr_reduce_by_compose(compose(cur, move), compose(wit, move), k)
+                    c2, w2 = dvr_reduce_by_compose(
+                        compose_by_powers(cur, move), compose_by_powers(wit, move), k
+                    )
                     if digit(c2, i, j) != 0:
                         continue
                     if [digit(c2, ii, jj) for jj, ii in positions[:idx]] != prefix:
