@@ -105,6 +105,19 @@ class _Options:
             val = self.cfg.get(name)
         return default if val is None else val
 
+    def integer(self, name, default=None):
+        """The value of name as an int: an int, or a string of one."""
+        val = self.get(name, default)
+        # json gives bools and floats, which int() would take or truncate
+        if val is None or type(val) is int:
+            return val
+        if isinstance(val, str):
+            try:
+                return int(val)
+            except ValueError:
+                pass
+        raise ParseError(f"--{name} must be an integer, got {val!r}", 0)
+
     def require(self, name):
         val = self.get(name)
         if val is None:
@@ -123,10 +136,10 @@ class _Options:
 
 
 def _default_d(parity: str, opt) -> int:
-    d = opt.get("d")
+    d = opt.integer("d")
     if d is None:
         return 0 if parity == "even" else 1
-    return int(d)
+    return d
 
 
 def _build_algebra(opt) -> MooreAlgebra:
@@ -244,9 +257,9 @@ def _cmd_hochschild(opt):
     if rep.mod_p_height is not None:
         lines.append(f"mod p height: {rep.mod_p_height}")
     lines.append(f"discrepancy: {'yes' if rep.discrepancy else 'no'}")
-    maxdeg = opt.get("maxdeg")
+    maxdeg = opt.integer("maxdeg")
     if maxdeg is not None:
-        dims = hh_bruteforce(M, int(maxdeg))
+        dims = hh_bruteforce(M, maxdeg)
         payload["bruteforce_dims"] = dims
         lines.append(f"brute-force dims by degree: {dims}")
     return lines, payload
@@ -254,7 +267,7 @@ def _cmd_hochschild(opt):
 
 def _cmd_verify_universal(opt):
     parity = str(opt.require("parity"))
-    arity = int(opt.get("arity", 8))
+    arity = opt.integer("arity", 8)
     if arity < 1:
         raise ParseError("--arity must be positive", 0)
     wordlen = opt.trunc()
@@ -290,9 +303,9 @@ def _cmd_verify_universal(opt):
 def _cmd_normalize_cochain(opt):
     ring = opt.ring()
     d = _default_d("even", opt)
-    seed = int(opt.get("seed", 0))
-    degree = int(opt.get("degree", 1))
-    max_arity = int(opt.get("arity", 3))
+    seed = opt.integer("seed", 0)
+    degree = opt.integer("degree", 1)
+    max_arity = opt.integer("arity", 3)
     basis = GradedBasis.two_cell(d)
     u_text = opt.get("series", "t")
     u = parse_series(ring, str(u_text), opt.trunc())
@@ -423,7 +436,7 @@ def _suite_reversion(rng):
 
 
 def _cmd_selftest(opt):
-    seed = int(opt.get("seed", 0))
+    seed = opt.integer("seed", 0)
     rng = random.Random(seed)
     suites = [
         ("action-vs-conjugation", _suite_action),
@@ -508,12 +521,14 @@ def _build_parser() -> argparse.ArgumentParser:
         series=True,
         maxdeg={"type": int, "help": "also run the brute-force complex up to this t-degree"},
     )
+    # integer options that a config file may set take no argparse default,
+    # which would hide the file's value; their handlers hold the defaults
     add(
         "verify-universal",
         "square-zero check with formal coefficients",
         ring=False,
         parity={"choices": ("even", "odd"), "required": True},
-        arity={"type": int, "default": 8, "help": "top exponent carrying a formal coefficient"},
+        arity={"type": int, "help": "top exponent carrying a formal coefficient (default 8)"},
         trunc={"help": "word-length cap (default 16 or MOORE_DEFAULT_TRUNC)"},
     )
     add(
@@ -522,9 +537,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ring=True,
         series=True,
         d={"type": int},
-        degree={"type": int, "default": 1},
-        arity={"type": int, "default": 3, "help": "largest cochain arity"},
-        seed={"type": int, "default": 0},
+        degree={"type": int, "help": "cochain degree (default 1)"},
+        arity={"type": int, "help": "largest cochain arity (default 3)"},
+        seed={"type": int, "help": "default 0"},
     )
     add(
         "audit",
@@ -535,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parity={"choices": ("even", "odd"), "default": "even"},
         d={"type": int},
     )
-    add("selftest", "run the seeded property suites", seed={"type": int, "default": 0})
+    add("selftest", "run the seeded property suites", seed={"type": int, "help": "default 0"})
     return top
 
 

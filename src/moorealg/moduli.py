@@ -25,11 +25,12 @@ what its unit move (d = 1) changes, mod p, so one form-only probe per
 window slot and level predicts the single clearing move, which is then
 applied to form and witness and verified like a search result.
 
-The reduction itself (_dvr_reduce) runs on lists of residues mod p^K:
-form and witness are converted once on entry and lifted back once on
-exit, and each elementary substitution t -> t + a*t^r, in the tail
-loop and in the sweep's moves, is one binomial pass
-(series._substitute_plain), with no RingElem arithmetic in between.
+canonicalize_dvr keeps form and witness as lists of residues mod p^K
+from the anchor check to the final is_canonical check: one conversion
+in, one lift out.  The tail reduction (_dvr_reduce) and the digit sweep
+run on the lists, each elementary substitution t -> t + a*t^r is one
+binomial pass (series._substitute_plain), and digit j of t^i is read as
+cs[i] // p^j % p, with no RingElem arithmetic in between.
 Over the fields canonicalize_char0 composes series, and compose runs
 each of its substitutions t - c*t^r on the same kernel over Q and F_p;
 over the graded fields, whose coefficients are not single scalars, it
@@ -81,7 +82,6 @@ from .series import (
     _lifted,
     _residues,
     _substitute_plain,
-    _substituted,
 )
 
 __all__ = [
@@ -391,8 +391,12 @@ def canonicalize_dvr(u: PowerSeries) -> CanonicalForm:
     k = units[0]
     if k % p == 0:
         raise WildCaseError(f"residue characteristic {p} divides the degree {k}")
-    cur, wit = _dvr_reduce(cur, wit, k)
-    cur, wit = _digit_sweep(cur, wit, k, u)
+    # from here to the lift, form and witness are residue lists through N,
+    # the witness's bound too (t, rescaled exactly, keeps u's bound)
+    N = cur.trunc
+    cs, ws = _dvr_reduce(_residues(cur), _residues(wit), k, ring, N)
+    cs, ws = _digit_sweep(cs, ws, k, ring, N, u)
+    cur, wit = _lifted(ring, cs, 1, N), _lifted(ring, ws, 1, N)
     ok, n = is_canonical(cur)
     if not ok or n != k:
         raise InternalError(
@@ -459,37 +463,34 @@ def _valuation(c: int, p: int) -> int:
     return v
 
 
-def _dvr_reduce(cur, wit, k):
+def _dvr_reduce(cs, ws, k, ring, n):
     """The Z/p^K tail reduction and top-digit gauge, on residue lists.
 
-    Removes the tail term of least valuation, then lowest exponent s,
-    by t -> t - c*t^(s-k+1) until nothing is left above the anchor k,
-    then zeroes the top base-p digit of the leading unit coefficient
-    by the rescale t -> (1 + gamma*p^(K-1))*t.  Form and witness become
-    lists of residues once on entry and series once on exit, and every
-    substitution keeps their bounds (it is exact, with linear
-    coefficient one), as compose would.  wit=None reduces the form alone.
+    cs and ws hold form and witness (cs[i] at t^i, residues mod p^K),
+    both known through t^n.  Removes the tail term of least valuation,
+    then lowest exponent s, by t -> t - c*t^(s-k+1) until nothing is
+    left above the anchor k, then zeroes the top base-p digit of the
+    leading unit coefficient by the rescale t -> (1 + gamma*p^(K-1))*t.
+    Returns the new lists, still known through n.  ws=None reduces the
+    form alone.
     """
-    ring = cur.ring
     p, K, mod = ring.p, ring.K, ring.modulus
-    cs = _residues(cur)
-    ws = None if wit is None else _residues(wit)
     # with non-units below the anchor, each pass strictly raises the least
-    # (valuation, exponent) of the tail, which takes at most K*(N - k) values
-    passes = K * max(cur.trunc - k, 0)
+    # (valuation, exponent) of the tail, which takes at most K*(n - k) values
+    passes = K * max(n - k, 0)
     for _ in range(passes + 1):
         tail = [i for i in range(k + 1, len(cs)) if cs[i]]
         if not tail:
             break
-        if cur.trunc == EXACT:
+        if n == EXACT:
             raise PrecisionError(
                 "reduction of an exact series does not terminate; truncate the input"
             )
         s = min(tail, key=lambda i: (_valuation(cs[i], p), i))
         a = -cs[s] * pow(k * cs[k], -1, mod) % mod
-        cs = _substitute_plain(cs, a, s - (k - 1), cur.trunc, mod)
+        cs = _substitute_plain(cs, a, s - (k - 1), n, mod)
         if ws is not None:
-            ws = _substitute_plain(ws, a, s - (k - 1), wit.trunc, mod)
+            ws = _substitute_plain(ws, a, s - (k - 1), n, mod)
     else:
         raise InternalError(f"tail reduction above t^{k} did not end in {passes} passes")
     top = cs[k] // p ** (K - 1)
@@ -499,41 +500,35 @@ def _dvr_reduce(cur, wit, k):
         cs = [c * pow(g, i, mod) % mod for i, c in enumerate(cs)]
         if ws is not None:
             ws = [c * pow(g, i, mod) % mod for i, c in enumerate(ws)]
-    return _lifted(ring, cs, 1, cur.trunc), (
-        None if wit is None else _lifted(ring, ws, 1, wit.trunc)
-    )
+    return cs, ws
 
 
-def _digit(series, i, j, p):
-    # base-p digit j of the coefficient of t^i (no v in the sweep's rings)
-    e = series.coeffs.get(i)
-    return 0 if e is None else (e.terms.get(0, 0) // p**j) % p
-
-
-def _unit_response(cur, k, m, jm, positions):
+def _unit_response(cs, k, ring, n, m, jm, positions):
     """Digit changes, mod p, that the unit move t + p^jm * t^m makes.
 
-    Composes the form alone with the move and re-reduces it without a
-    witness; returns one entry per digit position in positions.
+    Moves and re-reduces the form's list cs alone; returns one entry per
+    digit position (j, i) in positions.
     """
-    p = cur.ring.p
-    moved, _ = _dvr_reduce(_substituted(cur, p**jm, m, cur.trunc), None, k)
-    return [(_digit(moved, i, j, p) - _digit(cur, i, j, p)) % p for j, i in positions]
+    p = ring.p
+    moved, _ = _dvr_reduce(_substitute_plain(cs, p**jm, m, n, ring.modulus), None, k, ring, n)
+    return [(moved[i] // p**j - cs[i] // p**j) % p for j, i in positions]
 
 
-def _digit_sweep(cur, wit, k, source):
+def _digit_sweep(cs, ws, k, ring, n, source):
     """Zero every base-p digit of the form that substitutions can reach.
 
-    At truncation N the substitution coefficients of t^m for
-    m > N - k + 1 act invisibly on the tail (their unit-size effects all
-    land beyond t^N), so distinct runs of the tail reduction can land on
-    distinct canonical shapes.  The reachable shapes differ slot by slot
-    in a block of high base-p digits.  Scanning digit positions from the
+    Takes and returns form and witness as _dvr_reduce does.  At
+    truncation n the substitution coefficients of t^m for m > n - k + 1
+    act invisibly on the tail (their unit-size effects all land beyond
+    t^n), so distinct runs of the tail reduction can land on distinct
+    canonical shapes.  The reachable shapes differ slot by slot in a
+    block of high base-p digits.  Scanning digit positions from the
     least significant level and taking, for each nonzero digit, the
     first window move t + d*p^jm*t^m (m, then jm, then d ascending) that
     clears it without touching any earlier digit lands every orbit on
     the same distinguished shape: the one whose movable digits all
-    vanish.
+    vanish.  Every digit position has i <= k, and the anchor keeps cs
+    longer than k.
 
     The move is predicted, not searched for.  After re-reduction a move
     changes the digits up to level j by d times the change of its unit
@@ -547,41 +542,40 @@ def _digit_sweep(cur, wit, k, source):
     A digit that no window move clears is left as it is: it is part of
     the orbit invariant.
     """
-    if cur.trunc == EXACT:
+    if n == EXACT:
         # no truncation, no invisible window, nothing to sweep
-        return cur, wit
-    p, K = cur.ring.p, cur.ring.K
-    N = cur.trunc
-    free = range(max(N - k + 2, 2), N + 1)
+        return cs, ws
+    p, K, mod = ring.p, ring.K, ring.modulus
+    free = range(max(n - k + 2, 2), n + 1)
     positions = [(j, i) for j in range(1, K) for i in range(2, k + 1)]
     responses = {}
     for idx, (j, i) in enumerate(positions):
-        dig = _digit(cur, i, j, p)
+        dig = cs[i] // p**j % p
         if dig == 0:
             continue
         for m, jm in product(free, range(j)):
             v = responses.get((m, jm, j))
             if v is None:
                 # one entry per position up to level j; v[idx] is this digit
-                v = _unit_response(cur, k, m, jm, positions[: j * (k - 1)])
+                v = _unit_response(cs, k, ring, n, m, jm, positions[: j * (k - 1)])
                 responses[m, jm, j] = v
             if v[idx] and not any(v[:idx]):
                 break
         else:
             continue
         d = (-dig * pow(v[idx], -1, p)) % p
-        prefix = [_digit(cur, ii, jj, p) for jj, ii in positions[:idx]]
+        prefix = [cs[ii] // p**jj % p for jj, ii in positions[:idx]]
         a = d * p**jm
         c2, w2 = _dvr_reduce(
-            _substituted(cur, a, m, cur.trunc), _substituted(wit, a, m, wit.trunc), k
+            _substitute_plain(cs, a, m, n, mod), _substitute_plain(ws, a, m, n, mod), k, ring, n
         )
-        if _digit(c2, i, j, p) or [_digit(c2, ii, jj, p) for jj, ii in positions[:idx]] != prefix:
+        if c2[i] // p**j % p or [c2[ii] // p**jj % p for jj, ii in positions[:idx]] != prefix:
             raise InternalError(
                 f"digit sweep move failed to verify: {format_series(source)}, "
                 f"digit (i={i}, j={j}), move (m={m}, jm={jm}, d={d})"
             )
-        cur, wit = c2, w2
-    return cur, wit
+        cs, ws = c2, w2
+    return cs, ws
 
 
 # -- equivalence and degree bookkeeping ------------------------------------

@@ -305,6 +305,36 @@ class TestDefaultsAndConfig:
         assert code == 2
         assert "truncation" in err
 
+    @pytest.mark.parametrize("bad", ["two", 2.5, True])
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["invariant", "--ring", "Q", "--series", "12*t^2 + t^3", "--trunc", "8"], "d"),
+            (["hochschild", "--ring", "F5", "--series", "t^2 + t^3", "--trunc", "6"], "maxdeg"),
+            (["verify-universal", "--parity", "even", "--trunc", "3"], "arity"),
+            (["normalize-cochain", "--ring", "Q", "--series", "t^2", "--trunc", "6"], "seed"),
+            (["normalize-cochain", "--ring", "Q", "--series", "t^2", "--trunc", "6"], "degree"),
+            (["normalize-cochain", "--ring", "Q", "--series", "t^2", "--trunc", "6"], "arity"),
+            (["selftest"], "seed"),
+        ],
+    )
+    def test_non_integer_config_value_is_2(self, argv, key, bad, capsys, tmp_path):
+        # a word, a float or a bool is refused, never truncated to an int
+        cfg = tmp_path / "moore.json"
+        cfg.write_text(json.dumps({key: bad}))
+        code, _, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"--{key} must be an integer" in err
+
+    @pytest.mark.parametrize("value", [2, "2"])
+    def test_config_integer_matches_the_flag(self, value, capsys, tmp_path):
+        argv = ["invariant", "--ring", "Q", "--series", "12*t^2 + t^3", "--trunc", "8", "--json"]
+        cfg = tmp_path / "moore.json"
+        cfg.write_text(json.dumps({"d": value}))
+        code, out, _ = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert (code, out) == run(argv + ["--d", "2"], capsys)[:2]
+
     def test_bad_config_is_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

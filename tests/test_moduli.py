@@ -52,6 +52,7 @@ from moorealg.series import (
     format_series,
     ps_t,
     super_derivative,
+    _residues,
 )
 
 from util import (
@@ -902,9 +903,12 @@ class TestDigitSweep:
             u, f = _anchored_input(rng, p, K, k, N)
             inputs += [u, compose(u, f)]
         got = [_canonical_outcome(x) for x in inputs]
-        monkeypatch.setattr(
-            moduli, "_digit_sweep", lambda cur, wit, k, source: digit_sweep_by_probes(cur, wit, k)
-        )
+
+        def sweep_by_probes(cs, ws, k, ring, n, source):
+            cur, wit = digit_sweep_by_probes(_as_series(ring, cs, n), _as_series(ring, ws, n), k)
+            return _residues(cur), _residues(wit)
+
+        monkeypatch.setattr(moduli, "_digit_sweep", sweep_by_probes)
         for x, outcome in zip(inputs, got):
             assert outcome == _canonical_outcome(x), format_series(x)
 
@@ -928,6 +932,24 @@ def _residue_table(s):
         assert key == 0 and type(x) is int and 0 <= x < s.ring.modulus
         table[i] = x
     return s.trunc, table
+
+
+def _as_series(ring, xs, n):
+    """The series over Z/p^K with xs[i] at t^i through n; xs must hold ints in [0, m)."""
+    assert all(type(x) is int and 0 <= x < ring.modulus for x in xs)
+    return PowerSeries(ring, {i: x for i, x in enumerate(xs[: n + 1]) if x}, n)
+
+
+def _reduce_on_lists(u, wit, k):
+    """moduli._dvr_reduce on the residue lists of u and wit, lifted back.
+
+    The library knows both lists through u's bound N; a witness known
+    through less is read back through its own bound, which the entries
+    up to it do not outrun.
+    """
+    ring, n = u.ring, u.trunc
+    cs, ws = moduli._dvr_reduce(_residues(u), None if wit is None else _residues(wit), k, ring, n)
+    return _as_series(ring, cs, n), None if wit is None else _as_series(ring, ws, min(n, wit.trunc))
 
 
 def _same_reduction(got, want):
@@ -963,7 +985,11 @@ class TestDvrReduceOnResidues:
             ring, N = u.ring, u.trunc
             longer = PowerSeries(ring, f.coeffs, N + 3)
             for wit in (None, ps_t(ring, N), f, f.truncated(N - 2), longer):
-                _same_reduction(moduli._dvr_reduce(u, wit, k), dvr_reduce_by_compose(u, wit, k))
+                want = dvr_reduce_by_compose(u, wit, k)
+                if wit is longer:
+                    # the library only gives a witness the form's bound N
+                    want = (want[0], want[1].truncated(N))
+                _same_reduction(_reduce_on_lists(u, wit, k), want)
 
     def test_calls_made_by_canonicalize_dvr(self, monkeypatch):
         # every call from the main reduction, the sweep's unit probes
@@ -972,10 +998,12 @@ class TestDvrReduceOnResidues:
         in_sweep = []
         seen = []
 
-        def reduce(cur, wit, k):
-            got = library_reduce(cur, wit, k)
-            _same_reduction(got, dvr_reduce_by_compose(cur, wit, k))
-            seen.append((bool(in_sweep), wit is not None))
+        def reduce(cs, ws, k, ring, n):
+            got = library_reduce(cs, ws, k, ring, n)
+            cur, wit = _as_series(ring, cs, n), None if ws is None else _as_series(ring, ws, n)
+            lifted = (_as_series(ring, got[0], n), None if ws is None else _as_series(ring, got[1], n))
+            _same_reduction(lifted, dvr_reduce_by_compose(cur, wit, k))
+            seen.append((bool(in_sweep), ws is not None))
             return got
 
         def sweep(*args):
@@ -997,18 +1025,48 @@ class TestDvrReduceOnResidues:
     def test_exact_input(self):
         # no tail: only the gauge runs, and the bound stays EXACT
         u = S(Z56, {1: 5, 3: 1 + 4 * 5**5}, EXACT)
-        got = moduli._dvr_reduce(u, ps_t(Z56, EXACT), 3)
+        got = _reduce_on_lists(u, ps_t(Z56, EXACT), 3)
         _same_reduction(got, dvr_reduce_by_compose(u, ps_t(Z56, EXACT), 3))
         assert got[0].trunc == got[1].trunc == EXACT
         with pytest.raises(PrecisionError):
-            moduli._dvr_reduce(S(Z56, {1: 5, 2: 1, 3: 1}, EXACT), None, 2)
+            _reduce_on_lists(S(Z56, {1: 5, 2: 1, 3: 1}, EXACT), None, 2)
 
     def test_a_stuck_tail_raises(self, monkeypatch):
         # a substitution that changes nothing would loop for ever; the pass
         # bound K*(N - k) turns that into an InternalError
         monkeypatch.setattr(moduli, "_substitute_plain", lambda f, a, r, n, m: f)
         with pytest.raises(InternalError):
-            moduli._dvr_reduce(S(Z56, {1: 5, 2: 1, 3: 1}, 8), None, 2)
+            _reduce_on_lists(S(Z56, {1: 5, 2: 1, 3: 1}, 8), None, 2)
+
+    def test_one_conversion_in_one_out(self, monkeypatch):
+        # form and witness become residue lists once and series once, however
+        # many sweep moves run in between; the input is the one test_cli and
+        # CI pin, on which the sweep applies 7 moves
+        calls = {"_residues": 0, "_lifted": 0, "moves": 0}
+
+        def counted(name):
+            library = getattr(moduli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return library(*args)
+
+            monkeypatch.setattr(moduli, name, wrapper)
+
+        counted("_residues")
+        counted("_lifted")
+        library_reduce = moduli._dvr_reduce
+
+        def reduce(cs, ws, k, ring, n):
+            calls["moves"] += ws is not None
+            return library_reduce(cs, ws, k, ring, n)
+
+        monkeypatch.setattr(moduli, "_dvr_reduce", reduce)
+        coeffs = {1: 15, 2: 14560, 3: 6015, 4: 4174, 5: 65, 7: 6683, 9: 12958}
+        cf = canonicalize_dvr(S(Z56, coeffs, 10))
+        assert format_series(cf.form) == "5*t + 40*t^2 + 120*t^3 + 59*t^4"
+        # the main reduction and 7 applied moves
+        assert calls == {"_residues": 2, "_lifted": 2, "moves": 8}
 
 
 class TestEquivalent:
