@@ -943,9 +943,9 @@ def _as_series(ring, xs, n):
 def _reduce_on_lists(u, wit, k):
     """moduli._dvr_reduce on the residue lists of u and wit, lifted back.
 
-    The library knows both lists through u's bound N; a witness known
-    through less is read back through its own bound, which the entries
-    up to it do not outrun.
+    The library knows both lists through u's bound N.  A witness known
+    through less is read back only through its own bound b: each
+    substitution's entries up to t^b depend only on entries up to t^b.
     """
     ring, n = u.ring, u.trunc
     cs, ws = moduli._dvr_reduce(_residues(u), None if wit is None else _residues(wit), k, ring, n)
