@@ -70,6 +70,10 @@ def _default_trunc() -> int:
 
 
 def _parse_trunc(val) -> int:
+    # a flag gives a string, a config file any json value: refuse a bool or
+    # a float, which int() would take or truncate
+    if type(val) is not int and not isinstance(val, str):
+        raise ParseError(f"bad truncation {val!r}", 0)
     if str(val).strip().lower() == "exact":
         return EXACT
     try:
@@ -477,6 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations with two-cell algebra structures.",
     )
     sub = top.add_subparsers(dest="verb", required=True)
+    # options that a config file may set take no argparse default, which
+    # would hide the file's value; their handlers hold the defaults
 
     def add(verb, help_text, *, ring=False, series=False, series2=False, **extra):
         sp = sub.add_parser(verb, help=help_text)
@@ -499,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ring=True,
         series=True,
         series2=True,
-        parity={"choices": ("even", "odd"), "default": "even"},
+        parity={"choices": ("even", "odd"), "help": "default even"},
         d={"type": int},
     )
     add("act", "substitute a series into an even structure", ring=True, series=True, series2=True, d={"type": int})
@@ -521,13 +527,11 @@ def _build_parser() -> argparse.ArgumentParser:
         series=True,
         maxdeg={"type": int, "help": "also run the brute-force complex up to this t-degree"},
     )
-    # integer options that a config file may set take no argparse default,
-    # which would hide the file's value; their handlers hold the defaults
     add(
         "verify-universal",
         "square-zero check with formal coefficients",
         ring=False,
-        parity={"choices": ("even", "odd"), "required": True},
+        parity={"choices": ("even", "odd"), "help": "required"},
         arity={"type": int, "help": "top exponent carrying a formal coefficient (default 8)"},
         trunc={"help": "word-length cap (default 16 or MOORE_DEFAULT_TRUNC)"},
     )
@@ -547,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ring=True,
         series=True,
         series2=True,
-        parity={"choices": ("even", "odd"), "default": "even"},
+        parity={"choices": ("even", "odd"), "help": "default even"},
         d={"type": int},
     )
     add("selftest", "run the seeded property suites", seed={"type": int, "help": "default 0"})

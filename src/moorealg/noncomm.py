@@ -30,6 +30,18 @@ Endomorphisms are stored by their letter images and act as substitution
 homomorphisms (no signs).  Both are deliberately permissive about the
 parity of the stored images: deliberately broken structures must be
 representable so that square-zero failure can be witnessed.
+
+nc_mul, derivation_apply and apply_endo run on value maps {word: value},
+chosen by the ring mode alone (series._plain): over Q, F_p and Z/p^K
+without v a value is the coefficient's base scalar, a Fraction or a
+residue, and over [v] and the polynomial mode it stays the RingElem.
+One loop serves both kinds, since s + p and s * p mean the right thing
+for each, and the result is lifted into an NCSeries once.  apply_endo
+builds the image of each distinct prefix of x's words once, from the
+image of the prefix one letter shorter, reduced mod m so that its order
+is read after cancellation.  A prefix image keeps only the words through
+the result bound: an image has no scalar part, so a longer word never
+comes back to it.
 """
 
 from .errors import (
@@ -47,6 +59,7 @@ from .series import (
     compose as ps_compose,
     lowered,
     reversion as ps_reversion,
+    _plain,
 )
 
 _ALPHABET = ("T", "t")
@@ -240,6 +253,67 @@ def nc_to_powers(x: NCSeries) -> PowerSeries:
     return PowerSeries(x.ring, coeffs, x.maxlen)
 
 
+# -- value maps -----------------------------------------------------------
+#
+# The kernel of nc_mul, derivation_apply and apply_endo; see the module
+# docstring.  m is the modulus a plain value is reduced by, None over Q
+# and for RingElem values, which reduce themselves.
+
+
+def _kind(ring: CoeffRing):
+    """(plain, m): whether ring's values are base scalars, and their modulus."""
+    plain = _plain(ring)
+    return plain, ring.modulus if plain else None
+
+
+def _values(x: NCSeries, plain: bool) -> dict:
+    """x's coefficients as values: base scalars when plain, else its RingElems."""
+    if plain:
+        return {w: c.terms[0] for w, c in x.terms.items()}
+    return x.terms
+
+
+def _items(x: NCSeries, plain: bool) -> list:
+    """[(word, length, value)] of x, by ascending length."""
+    return sorted(((w, len(w), c) for w, c in _values(x, plain).items()), key=lambda e: e[1])
+
+
+def _reduced(out: dict, m) -> dict:
+    """The nonzero values of out, reduced mod m when m is set."""
+    if m is None:
+        return {w: c for w, c in out.items() if c}
+    return {w: c for w, c in ((w, c % m) for w, c in out.items()) if c}
+
+
+def _times(a: dict, b: list, cut: int, m) -> dict:
+    """The concatenation product of value map a and items b through length cut, reduced."""
+    out = {}
+    for wa, ca in a.items():
+        room = cut - len(wa)
+        for wb, lb, cb in b:
+            if lb > room:
+                break
+            w = wa + wb
+            p = ca * cb
+            s = out.get(w)
+            out[w] = p if s is None else s + p
+    return _reduced(out, m)
+
+
+def _lifted(ring: CoeffRing, grading: GradingContext, vals: dict, maxlen: int, plain: bool):
+    """The NCSeries of reduced nonzero values, the words past maxlen dropped."""
+    maxlen = capped(maxlen)
+    if plain:
+        terms = {w: RingElem(ring, {0: c}) for w, c in vals.items() if len(w) <= maxlen}
+    else:
+        terms = {w: c for w, c in vals.items() if len(w) <= maxlen}
+    # built without the constructor's per-word checks: every word is over
+    # the alphabet and every value a nonzero element over ring
+    out = object.__new__(NCSeries)
+    out.ring, out.grading, out.maxlen, out.terms = ring, grading, maxlen, terms
+    return out
+
+
 # -- ring structure -------------------------------------------------------
 
 
@@ -247,16 +321,9 @@ def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     """Concatenation product, truncation min(La + ord b, Lb + ord a)."""
     _check_compat(a, b)
     n = capped(min(lowered(b.order(), -a.maxlen), lowered(a.order(), -b.maxlen)))
-    out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            if len(wa) + len(wb) > n:
-                continue
-            w = wa + wb
-            c = ca * cb
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-    return NCSeries(a.ring, a.grading, out, n)
+    plain, m = _kind(a.ring)
+    out = _times(_values(a, plain), _items(b, plain), n, m)
+    return _lifted(a.ring, a.grading, out, n, plain)
 
 
 # -- derivations ----------------------------------------------------------
@@ -309,26 +376,24 @@ def derivation_apply(xi: Derivation, x: NCSeries) -> NCSeries:
     omin = min(xi.onTau.order(), xi.onT.order())
     limg = min(xi.onTau.maxlen, xi.onT.maxlen)
     n = lowered(capped(min(lowered(omin, -x.maxlen), lowered(x.order(), -limg))), 1)
+    plain, m = _kind(x.ring)
+    images = {ch: _items(xi.image(ch), plain) for ch in _ALPHABET}
+    odd = {ch: grading.letter_parity(ch) & xi.parity for ch in _ALPHABET}
     out = {}
-    for word, c in x.terms.items():
-        ppar = 0  # parity of the prefix consumed so far
+    for word, c in _values(x, plain).items():
+        room = n - len(word) + 1  # the longest image word that stays within n
+        neg = 0  # parity of the prefix consumed so far, times |xi|
         for j, ch in enumerate(word):
-            img = xi.image(ch)
-            if img.terms:
-                neg = bool(xi.parity and ppar)
-                head, tail = word[:j], word[j + 1:]
-                base = len(word) - 1
-                for iw, ic in img.terms.items():
-                    if base + len(iw) > n:
-                        continue
-                    w = head + iw + tail
-                    add = c * ic
-                    if neg:
-                        add = -add
-                    s = out.get(w)
-                    out[w] = add if s is None else s + add
-            ppar ^= grading.letter_parity(ch) & 1
-    return NCSeries(x.ring, grading, out, n)
+            head, tail = word[:j], word[j + 1:]
+            for iw, li, ic in images[ch]:
+                if li > room:
+                    break
+                w = head + iw + tail
+                p = -(c * ic) if neg else c * ic
+                s = out.get(w)
+                out[w] = p if s is None else s + p
+            neg ^= odd[ch]
+    return _lifted(x.ring, grading, _reduced(out, m), n, plain)
 
 
 def derivation_commutator(xi: Derivation, eta: Derivation) -> Derivation:
@@ -443,21 +508,56 @@ def normalized_endo(grading: GradingContext, shift: PowerSeries, sub: PowerSerie
     return NCEndo(tau + nc_from_powers(grading, shift), nc_from_powers(grading, sub))
 
 
+def _prefix_image(state, letter, n: int, m):
+    """The image of a prefix one letter longer, or None when no word of it reaches n.
+
+    state is the shorter prefix's (values through min(bound, n), order,
+    bound) and letter the letter image's (items, order, bound); the bound
+    is nc_mul's.  Cutting at n can only raise an order past n, which
+    changes no bound below n.  An image that is zero through a bound
+    >= n stays so for every longer prefix.
+    """
+    vals, o, lp = state
+    items, oi, li = letter
+    lw = capped(min(lowered(oi, -lp), lowered(o, -li)))
+    cut = min(lw, n)
+    vals = _times(vals, items, cut, m)
+    if vals:
+        return vals, min(map(len, vals)), lw
+    return None if lw >= n else (vals, capped(cut + 1), lw)
+
+
 def apply_endo(phi: NCEndo, x: NCSeries) -> NCSeries:
     """Substitution homomorphism: replace every letter by its image."""
     _check_compat(phi.imageTau, x)
     omin = min(phi.imageTau.order(), phi.imageT.order())
     n = lowered(capped((x.maxlen + 1) * omin), 1)
-    acc = nc_zero(x.ring, x.grading, n)
-    one = nc_scalar(x.ring, x.grading, 1)
-    for word, c in x.terms.items():
-        prod = one
-        for ch in word:
-            prod = nc_mul(prod, phi.image(ch))
-            if prod.is_zero() and prod.maxlen >= n:
+    plain, m = _kind(x.ring)
+    letters = {}
+    for ch in _ALPHABET:
+        img = phi.image(ch)
+        letters[ch] = (_items(img, plain), img.order(), img.maxlen)
+    prefixes = {"": ({"": 1 if plain else x.ring.one()}, 0, EXACT)}
+    bound = n
+    out = {}
+    for word, c in _values(x, plain).items():
+        state = prefixes[""]
+        for j in range(1, len(word) + 1):
+            key = word[:j]
+            if key not in prefixes:
+                prefixes[key] = _prefix_image(state, letters[word[j - 1]], n, m)
+            state = prefixes[key]
+            if state is None:
                 break
-        acc = acc + prod.scaled(c)
-    return acc
+        if state is None:
+            continue
+        vals, _, lw = state
+        bound = min(bound, lw)
+        for w, v in vals.items():
+            p = c * v
+            s = out.get(w)
+            out[w] = p if s is None else s + p
+    return _lifted(x.ring, x.grading, _reduced(out, m), bound, plain)
 
 
 def _normalized_parts(phi: NCEndo):

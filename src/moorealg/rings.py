@@ -377,6 +377,11 @@ def parse_ring(text: str) -> CoeffRing:
         raise ParseError(f"modulus {p} is not prime", 3)
     if K < 1:
         raise ParseError("precision must be at least 1", 0)
+    if K == 1:
+        # Z/p is the field F_p, and the verbs that classify over Z/p^K need
+        # the uniformizer p to be nonzero
+        field = f"F{p}" + ("[v]" if lau else "")
+        raise ParseError(f"{text.strip()} is the field {field}; write {field}", 0)
     return CoeffRing("Zp", p=p, K=K, laurent=lau)
 
 

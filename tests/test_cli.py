@@ -197,13 +197,24 @@ class TestExitCodes:
         assert code == 0
         assert out.strip() == "equivalent: yes"
 
-    @pytest.mark.parametrize("verb", ["canonicalize", "equivalent"])
-    def test_zero_linear_coefficient_over_z_mod_p_is_3(self, verb, capsys):
-        # u_1 = 0 over Zp:5:1 is no unit multiple of 5; it used to reach
-        # the rescale and fail with "NotAUnitError: 0 is not a unit"
+    @pytest.mark.parametrize("verb", ["canonicalize", "equivalent", "invariant", "hochschild"])
+    def test_z_mod_p_with_precision_1_is_2(self, verb, capsys):
+        # Zp:5:1 is the field F5, whose uniformizer would be 0: the ring
+        # parser refuses it and names F5, where canonicalize and equivalent
+        # gave a StructureError, invariant "not a field" and hochschild a
+        # ZeroDivisorError
         argv = [verb, "--ring", "Zp:5:1", "--series", "t^2+t^3", "--trunc", "6"]
         if verb == "equivalent":
             argv += ["--series2", "t^2+t^3"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "write F5" in err
+
+    def test_zero_linear_coefficient_over_z_mod_p_k_is_3(self, capsys):
+        # u_1 = 0 is no unit multiple of 5; it used to reach the rescale and
+        # fail with "NotAUnitError: 0 is not a unit"
+        argv = ["canonicalize", "--ring", "Zp:5:2", "--series", "t^2+t^3", "--trunc", "6"]
         code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""
@@ -304,6 +315,43 @@ class TestDefaultsAndConfig:
         code, _, err = run(["height", "--config", str(cfg)], capsys)
         assert code == 2
         assert "truncation" in err
+
+    @pytest.mark.parametrize("bad", [True, 8.7])
+    def test_non_integer_config_trunc_is_2(self, bad, capsys, tmp_path):
+        # int() would read true as truncation 1 and 8.7 as 8
+        cfg = tmp_path / "moore.json"
+        cfg.write_text(json.dumps({"ring": "Q", "series": "t^2", "trunc": bad}))
+        code, out, err = run(["canonicalize", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "bad truncation" in err
+
+    @pytest.mark.parametrize("verb", ["audit", "check"])
+    def test_config_parity_is_read(self, verb, capsys, tmp_path):
+        # --parity has no argparse default, which would hide the file's value
+        data = {"ring": "Q", "series": "t^2 + t^4", "series2": "t^2", "parity": "odd", "trunc": 6}
+        cfg = tmp_path / "moore.json"
+        cfg.write_text(json.dumps(data))
+        code, out, _ = run([verb, "--config", str(cfg)], capsys)
+        assert code == 0
+        assert (code, out) == run([verb, "--config", str(cfg), "--parity", "odd"], capsys)[:2]
+        if verb == "audit":
+            assert "z: -2, t: -3" in out
+        else:
+            assert "kind: odd" in out
+        # without a flag or a key the handler's default is even
+        del data["parity"]
+        cfg.write_text(json.dumps(data))
+        assert "kind: even" in run(["check", "--config", str(cfg)], capsys)[1]
+
+    def test_config_parity_satisfies_verify_universal(self, capsys, tmp_path):
+        # the handler requires --parity; argparse would not see the file
+        cfg = tmp_path / "moore.json"
+        cfg.write_text(json.dumps({"parity": "odd", "arity": 2, "trunc": 4}))
+        code, out, _ = run(["verify-universal", "--config", str(cfg), "--json"], capsys)
+        assert code == 0 and json.loads(out)["parity"] == "odd"
+        cfg.write_text(json.dumps({"arity": 2}))
+        code, _, err = run(["verify-universal", "--config", str(cfg)], capsys)
+        assert code == 2 and "--parity is required" in err
 
     @pytest.mark.parametrize("bad", ["two", 2.5, True])
     @pytest.mark.parametrize(

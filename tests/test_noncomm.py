@@ -1,6 +1,7 @@
 """Word algebra, derivations, endomorphisms, structure derivations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from moorealg.errors import (
     PrecisionError,
     StructureError,
 )
-from moorealg.rings import CoeffRing
+from moorealg.rings import CoeffRing, parse_ring
 from moorealg.series import EXACT, PowerSeries, compose
 from moorealg.noncomm import (
     Derivation,
@@ -38,12 +39,15 @@ from moorealg.noncomm import (
 from util import (
     agree_derivation,
     agree_nc,
+    apply_endo_by_expansion,
     check_bound,
     commutator,
+    derivation_apply_by_leibniz,
     endo_compose,
     ext,
     from_ext,
     rand_derivation,
+    rand_elem,
     rand_nc,
     rand_series,
     times,
@@ -568,3 +572,104 @@ class TestPrecisionModel:
         nothing = NCSeries(F7, ODD, {"": 1, "t": 1}, -5)
         assert nothing.maxlen == -1 and nothing.is_zero()
         assert nothing.order() == 0
+
+
+POLY = CoeffRing("Poly", symbols=("a", "b"))
+ORACLE_RINGS = [
+    parse_ring(r) for r in ("Q", "F5", "F2", "Zp:5:3", "Zp:2:4", "Q[v]", "F5[v]")
+] + [POLY]
+
+
+def _coeff(ring, rng):
+    """A random coefficient; over the polynomial ring a small combination of 1, a and b."""
+    if ring.mode != "Poly":
+        return rand_elem(ring, rng)
+    x = ring.from_int(rng.randint(-3, 3))
+    for name in ring.symbols:
+        x = x + ring.sym(name) * ring.from_int(rng.randint(-2, 2))
+    return x
+
+
+def _draw(ring, grading, rng, longest, scalar=False):
+    """A word series with up to four words of length 1..longest, zero about a fifth of the time.
+
+    Half of the draws are exact; the others are known to a length from -1 to 5.
+    """
+    terms = {}
+    for _ in range(rng.choice((0, 1, 2, 3, 4))):
+        w = "".join(rng.choice("Tt") for _ in range(rng.randint(1, longest)))
+        terms[w] = _coeff(ring, rng)
+    if scalar and rng.random() < 0.3:
+        terms[""] = _coeff(ring, rng)
+    return NCSeries(ring, grading, terms, EXACT if rng.random() < 0.5 else rng.randint(-1, 5))
+
+
+def _assert_well_formed(x):
+    """What the library's lift promises without the constructor's checks."""
+    m = x.ring.modulus
+    for w, c in x.terms.items():
+        assert set(w) <= {"T", "t"} and len(w) <= x.maxlen
+        assert c.ring is x.ring and c.terms
+        for k, v in c.terms.items():
+            assert v
+            if x.ring.mode in ("Q", "Poly"):
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int and 0 <= v < m
+            if not x.ring.laurent and x.ring.mode != "Poly":
+                assert k == 0
+
+
+class TestKernelOracle:
+    """The value-map kernel against RingElem references written without it."""
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.spec())
+    def test_apply_endo_matches_expansion(self, ring):
+        rng = random.Random(f"endo {ring.spec()}")
+        exact = 0
+        for _ in range(60):
+            grading = rng.choice((EVEN, ODD))
+            phi = NCEndo(_draw(ring, grading, rng, 3), _draw(ring, grading, rng, 3))
+            x = _draw(ring, grading, rng, 4, scalar=True)
+            got, want = apply_endo(phi, x), apply_endo_by_expansion(phi, x)
+            _assert_well_formed(got)
+            assert got.maxlen >= want.maxlen
+            assert agree_nc(got, want)
+            exact += got.maxlen == EXACT
+        assert exact  # the draws reach exact results
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.spec())
+    def test_derivation_apply_matches_leibniz(self, ring):
+        rng = random.Random(f"leibniz {ring.spec()}")
+        for _ in range(60):
+            grading = rng.choice((EVEN, ODD))
+            xi = Derivation(
+                _draw(ring, grading, rng, 3, scalar=True),
+                _draw(ring, grading, rng, 3, scalar=True),
+                rng.choice((0, 1)),
+            )
+            x = _draw(ring, grading, rng, 4, scalar=True)
+            got, want = derivation_apply(xi, x), derivation_apply_by_leibniz(xi, x)
+            _assert_well_formed(got)
+            assert got.maxlen == want.maxlen
+            assert agree_nc(got, want)
+
+    def test_cancellation_is_read_before_the_next_letter(self):
+        # over Z/4, (2T)(2T) = 0: the image of the prefix "TT" is zero
+        # through its bound 6, so it has order 7 and the image of "TTt" is
+        # known through min(6 + 1, 7 + 1) = 7; the letters' orders alone
+        # give only 1 + 1 + 1 = 3 (t's image is known through 1)
+        z4 = parse_ring("Zp:2:2")
+        phi = NCEndo(NCSeries(z4, ODD, {"T": 2}, 5), NCSeries(z4, ODD, {"t": 1}, 1))
+        x = nc_word(z4, ODD, "TTt")
+        got, want = apply_endo(phi, x), apply_endo_by_expansion(phi, x)
+        assert got.maxlen == 7 and not got.terms
+        assert want.maxlen == 3 and agree_nc(got, want)
+
+    def test_nothing_known(self):
+        phi = NCEndo(nc_word(F7, ODD, "T"), nc_word(F7, ODD, "t"))
+        x = NCSeries(F7, ODD, {"": 3, "t": 1}, -1)
+        assert apply_endo(phi, x) == nc_zero(F7, ODD, -1)
+        zero = NCEndo(nc_zero(F7, ODD, -1), nc_word(F7, ODD, "t"))
+        got = apply_endo(zero, nc_word(F7, ODD, "tt"))
+        assert got.maxlen == -1 and not got.terms

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import time
 from fractions import Fraction
 
@@ -219,6 +220,12 @@ class TestRingSpecs:
     @pytest.mark.parametrize("text", ["", "F4", "Zp:6:2", "Zp:5:0", "Q[w]", "garbage"])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
+            parse_ring(text)
+
+    @pytest.mark.parametrize("text, field", [("Zp:5:1", "F5"), ("Zp:2:1[v]", "F2[v]")])
+    def test_precision_one_names_the_field(self, text, field):
+        # Z/p has no nonzero uniformizer, so no Z/p^K verb can classify over it
+        with pytest.raises(ParseError, match=rf"; write {re.escape(field)}( |$)"):
             parse_ring(text)
 
 

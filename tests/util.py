@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random data and comparisons."""
 
+import itertools
 import json
 import math
 
@@ -346,6 +347,73 @@ def series_from_json(data) -> PowerSeries:
     for k, text in data.get("coeffs", {}).items():
         coeffs[int(k)] = parse_elem(ring, text)
     return PowerSeries(ring, coeffs, trunc)
+
+
+def nc_order(x: NCSeries):
+    """ord(x) as an extended integer: bound + 1 for a zero series, so infinity when exact."""
+    if x.terms:
+        return min(len(w) for w in x.terms)
+    return ext(x.maxlen) + 1
+
+
+def apply_endo_by_expansion(phi: NCEndo, x: NCSeries) -> NCSeries:
+    """Substitute the letter images into x, expanding every word completely.
+
+    The reference for moorealg.noncomm.apply_endo: a word l1..lk of x
+    becomes the sum over all tuples of image words (itertools.product)
+    of one RingElem product per tuple, so no word-algebra product of the
+    library is used.  The bound is the module docstring's (Lx + 1)*o - 1,
+    lowered for each word to the bound of the product of its letter
+    images, min over i of (L_i + the other letters' orders), on extended
+    integers.  The library reads the orders of its partial products,
+    which are never smaller, so its bound is at least this one.
+    """
+    images = {ch: (phi.image(ch), sorted(phi.image(ch).terms.items())) for ch in "Tt"}
+    o = min(nc_order(img) for img, _ in images.values())
+    bound = times(ext(x.maxlen) + 1, o) - 1
+    for word in x.terms:
+        orders = [nc_order(images[ch][0]) for ch in word]
+        for i, ch in enumerate(word):
+            rest = sum(orders[:i] + orders[i + 1:])
+            bound = min(bound, ext(images[ch][0].maxlen) + rest)
+    n = from_ext(bound)
+    out = {}
+    for word, c in x.terms.items():
+        for choice in itertools.product(*(images[ch][1] for ch in word)):
+            w = "".join(iw for iw, _ in choice)
+            if len(w) > n:
+                continue
+            term = c
+            for _, ic in choice:
+                term = term * ic
+            out[w] = out[w] + term if w in out else term
+    return NCSeries(x.ring, x.grading, out, n)
+
+
+def derivation_apply_by_leibniz(xi: Derivation, x: NCSeries) -> NCSeries:
+    """The signed Leibniz rule, one RingElem product per (word, letter, image word).
+
+    The reference for moorealg.noncomm.derivation_apply: the term for
+    letter j of a word carries (-1)^(|xi| * parity of the letters before
+    it), that parity read by GradingContext.word_parity, and the bound is
+    the module docstring's min(Lx + s, ord(x) + Limg - 1), s the least
+    image order minus 1, on extended integers.
+    """
+    g = x.grading
+    s = min(nc_order(xi.onTau), nc_order(xi.onT)) - 1
+    limg = min(ext(xi.onTau.maxlen), ext(xi.onT.maxlen))
+    n = from_ext(min(ext(x.maxlen) + s, nc_order(x) + limg - 1))
+    out = {}
+    for word, c in x.terms.items():
+        for j, ch in enumerate(word):
+            odd = xi.parity * g.word_parity(word[:j]) % 2
+            for iw, ic in xi.image(ch).terms.items():
+                w = word[:j] + iw + word[j + 1:]
+                if len(w) > n:
+                    continue
+                term = -(c * ic) if odd else c * ic
+                out[w] = out[w] + term if w in out else term
+    return NCSeries(x.ring, g, out, n)
 
 
 def endo_compose(phi: NCEndo, psi: NCEndo) -> NCEndo:
