@@ -46,8 +46,9 @@ from util import (
     endo_compose,
     ext,
     from_ext,
+    nc_order,
+    rand_coeff,
     rand_derivation,
-    rand_elem,
     rand_nc,
     rand_series,
     times,
@@ -499,10 +500,6 @@ class TestEndo:
             assert ok
 
 
-def _ord(x):
-    return min(len(w) for w in x.terms) if x.terms else ext(x.maxlen) + 1
-
-
 def _rand_bounded(rng, scalar=False):
     """A random F7 word series, zero about a fifth of the time, EXACT half of the time.
 
@@ -525,7 +522,7 @@ class TestPrecisionModel:
             la, lb = ext(a.maxlen), ext(b.maxlen)
             check_bound((a + b).maxlen, min(la, lb), a.maxlen, b.maxlen)
             check_bound(
-                nc_mul(a, b).maxlen, min(la + _ord(b), lb + _ord(a)), a.maxlen, b.maxlen
+                nc_mul(a, b).maxlen, min(la + nc_order(b), lb + nc_order(a)), a.maxlen, b.maxlen
             )
 
     def test_derivation_apply(self):
@@ -535,9 +532,9 @@ class TestPrecisionModel:
             on_tau, on_t = _rand_bounded(rng, scalar=True), _rand_bounded(rng, scalar=True)
             xi = Derivation(on_tau, on_t, 1)
             x = _rand_bounded(rng)
-            s = min(_ord(on_tau), _ord(on_t)) - 1
+            s = min(nc_order(on_tau), nc_order(on_t)) - 1
             limg = min(ext(on_tau.maxlen), ext(on_t.maxlen))
-            want = min(ext(x.maxlen) + s, _ord(x) + limg - 1)
+            want = min(ext(x.maxlen) + s, nc_order(x) + limg - 1)
             got = derivation_apply(xi, x).maxlen
             check_bound(got, want, x.maxlen, on_tau.maxlen, on_t.maxlen)
 
@@ -553,7 +550,7 @@ class TestPrecisionModel:
                 )
             phi = NCEndo(*images)
             x = _rand_bounded(rng)
-            o = min(_ord(img) for img in images)
+            o = min(nc_order(img) for img in images)
             want = times(ext(x.maxlen) + 1, o) - 1
             got = apply_endo(phi, x).maxlen
             if exact_images:
@@ -580,16 +577,6 @@ ORACLE_RINGS = [
 ] + [POLY]
 
 
-def _coeff(ring, rng):
-    """A random coefficient; over the polynomial ring a small combination of 1, a and b."""
-    if ring.mode != "Poly":
-        return rand_elem(ring, rng)
-    x = ring.from_int(rng.randint(-3, 3))
-    for name in ring.symbols:
-        x = x + ring.sym(name) * ring.from_int(rng.randint(-2, 2))
-    return x
-
-
 def _draw(ring, grading, rng, longest, scalar=False):
     """A word series with up to four words of length 1..longest, zero about a fifth of the time.
 
@@ -598,9 +585,9 @@ def _draw(ring, grading, rng, longest, scalar=False):
     terms = {}
     for _ in range(rng.choice((0, 1, 2, 3, 4))):
         w = "".join(rng.choice("Tt") for _ in range(rng.randint(1, longest)))
-        terms[w] = _coeff(ring, rng)
+        terms[w] = rand_coeff(ring, rng)
     if scalar and rng.random() < 0.3:
-        terms[""] = _coeff(ring, rng)
+        terms[""] = rand_coeff(ring, rng)
     return NCSeries(ring, grading, terms, EXACT if rng.random() < 0.5 else rng.randint(-1, 5))
 
 

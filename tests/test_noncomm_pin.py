@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from moorealg._draws import rand_elem, rand_series
+from moorealg._draws import rand_series
 from moorealg.moduli import MooreAlgebra
 from moorealg.noncomm import (
     Derivation,
@@ -30,6 +30,8 @@ from moorealg.noncomm import (
 )
 from moorealg.rings import CoeffRing, format_elem, parse_ring
 from moorealg.series import EXACT, PowerSeries
+
+from util import rand_coeff
 
 PINS = {
     "Q": "c66dd1d190b26ef3",
@@ -51,20 +53,11 @@ def _ring(text):
     return POLY if text == "Poly" else parse_ring(text)
 
 
-def _coeff(ring, rng):
-    if ring.mode != "Poly":
-        return rand_elem(ring, rng)
-    x = ring.from_int(rng.randint(-3, 3))
-    for name in ring.symbols:
-        x = x + ring.sym(name) * ring.from_int(rng.randint(-2, 2))
-    return x
-
-
 def _words(ring, grading, rng, longest, bound):
     terms = {}
     for _ in range(rng.choice((0, 1, 3, 5))):
         w = "".join(rng.choice("Tt") for _ in range(rng.randint(1, longest)))
-        terms[w] = _coeff(ring, rng)
+        terms[w] = rand_coeff(ring, rng)
     return NCSeries(ring, grading, terms, bound)
 
 
@@ -79,7 +72,7 @@ def _serial(x):
 def _odd_datum(ring, rng, n):
     """An odd structure (v, w) on even exponents >= 2, known through n."""
     def part():
-        return PowerSeries(ring, {i: _coeff(ring, rng) for i in range(2, n + 1, 2)}, n)
+        return PowerSeries(ring, {i: rand_coeff(ring, rng) for i in range(2, n + 1, 2)}, n)
 
     return moore_mstar(MooreAlgebra.odd(part(), part()))
 

@@ -349,6 +349,17 @@ def series_from_json(data) -> PowerSeries:
     return PowerSeries(ring, coeffs, trunc)
 
 
+def rand_coeff(ring, rng):
+    """rand_elem, and over the polynomial mode a combination of 1 and the symbols
+    with integer coefficients in -3..3 and -2..2."""
+    if ring.mode != "Poly":
+        return rand_elem(ring, rng)
+    x = ring.from_int(rng.randint(-3, 3))
+    for name in ring.symbols:
+        x = x + ring.sym(name) * ring.from_int(rng.randint(-2, 2))
+    return x
+
+
 def nc_order(x: NCSeries):
     """ord(x) as an extended integer: bound + 1 for a zero series, so infinity when exact."""
     if x.terms:
