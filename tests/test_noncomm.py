@@ -620,7 +620,7 @@ class TestKernelOracle:
             x = _draw(ring, grading, rng, 4, scalar=True)
             got, want = apply_endo(phi, x), apply_endo_by_expansion(phi, x)
             _assert_well_formed(got)
-            assert got.maxlen >= want.maxlen
+            assert got.maxlen == want.maxlen
             assert agree_nc(got, want)
             exact += got.maxlen == EXACT
         assert exact  # the draws reach exact results
@@ -645,13 +645,19 @@ class TestKernelOracle:
         # over Z/4, (2T)(2T) = 0: the image of the prefix "TT" is zero
         # through its bound 6, so it has order 7 and the image of "TTt" is
         # known through min(6 + 1, 7 + 1) = 7; the letters' orders alone
-        # give only 1 + 1 + 1 = 3 (t's image is known through 1)
+        # would give only 1 + 1 + 1 = 3 (t's image is known through 1)
         z4 = parse_ring("Zp:2:2")
         phi = NCEndo(NCSeries(z4, ODD, {"T": 2}, 5), NCSeries(z4, ODD, {"t": 1}, 1))
         x = nc_word(z4, ODD, "TTt")
-        got, want = apply_endo(phi, x), apply_endo_by_expansion(phi, x)
-        assert got.maxlen == 7 and not got.terms
-        assert want.maxlen == 3 and agree_nc(got, want)
+        assert apply_endo(phi, x) == apply_endo_by_expansion(phi, x) == nc_zero(z4, ODD, 7)
+
+    def test_a_zero_image_lowers_the_bound(self):
+        # t's image is zero through length 1, so "t" is known only through
+        # 1, below the bound (2 + 1)*1 - 1 = 2 of the letters' orders
+        phi = NCEndo(nc_word(F7, ODD, "T"), nc_zero(F7, ODD, 1))
+        x = NCSeries(F7, ODD, {"t": 1, "T": 3}, 2)
+        want = NCSeries(F7, ODD, {"T": 3}, 1)
+        assert apply_endo(phi, x) == apply_endo_by_expansion(phi, x) == want
 
     def test_nothing_known(self):
         phi = NCEndo(nc_word(F7, ODD, "T"), nc_word(F7, ODD, "t"))

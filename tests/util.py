@@ -375,29 +375,40 @@ def apply_endo_by_expansion(phi: NCEndo, x: NCSeries) -> NCSeries:
     of one RingElem product per tuple, so no word-algebra product of the
     library is used.  The bound is the module docstring's (Lx + 1)*o - 1,
     lowered for each word to the bound of the product of its letter
-    images, min over i of (L_i + the other letters' orders), on extended
-    integers.  The library reads the orders of its partial products,
-    which are never smaller, so its bound is at least this one.
+    images taken one letter at a time, each step by the nc_mul formula
+    min(L + o_img, o + L_img), where o is the order of the expanded
+    prefix product read through its own bound, after cancellation; on
+    extended integers.
     """
-    images = {ch: (phi.image(ch), sorted(phi.image(ch).terms.items())) for ch in "Tt"}
-    o = min(nc_order(img) for img, _ in images.values())
-    bound = times(ext(x.maxlen) + 1, o) - 1
-    for word in x.terms:
-        orders = [nc_order(images[ch][0]) for ch in word]
-        for i, ch in enumerate(word):
-            rest = sum(orders[:i] + orders[i + 1:])
-            bound = min(bound, ext(images[ch][0].maxlen) + rest)
-    n = from_ext(bound)
-    out = {}
-    for word, c in x.terms.items():
-        for choice in itertools.product(*(images[ch][1] for ch in word)):
+    images = {ch: phi.image(ch) for ch in "Tt"}
+
+    def expand(word, c, upto):
+        out = {}
+        for choice in itertools.product(*(sorted(images[ch].terms.items()) for ch in word)):
             w = "".join(iw for iw, _ in choice)
-            if len(w) > n:
+            if len(w) > upto:
                 continue
             term = c
             for _, ic in choice:
                 term = term * ic
             out[w] = out[w] + term if w in out else term
+        return {w: v for w, v in out.items() if v}
+
+    o = min(nc_order(img) for img in images.values())
+    bound = times(ext(x.maxlen) + 1, o) - 1
+    for word in x.terms:
+        lw, ow = math.inf, 0  # the empty prefix: 1, exactly
+        for j, ch in enumerate(word, 1):
+            img = images[ch]
+            lw = min(lw + nc_order(img), ow + ext(img.maxlen))
+            prefix = expand(word[:j], x.ring.one(), lw)
+            ow = min(len(w) for w in prefix) if prefix else lw + 1
+        bound = min(bound, lw)
+    n = from_ext(bound)
+    out = {}
+    for word, c in x.terms.items():
+        for w, v in expand(word, c, n).items():
+            out[w] = out[w] + v if w in out else v
     return NCSeries(x.ring, x.grading, out, n)
 
 
