@@ -211,10 +211,13 @@ class TestExitCodes:
         assert out == ""
         assert "write F5" in err
 
-    def test_zero_linear_coefficient_over_z_mod_p_k_is_3(self, capsys):
+    @pytest.mark.parametrize("verb", ["canonicalize", "equivalent"])
+    def test_zero_linear_coefficient_over_z_mod_p_is_3(self, verb, capsys):
         # u_1 = 0 is no unit multiple of 5; it used to reach the rescale and
         # fail with "NotAUnitError: 0 is not a unit"
-        argv = ["canonicalize", "--ring", "Zp:5:2", "--series", "t^2+t^3", "--trunc", "6"]
+        argv = [verb, "--ring", "Zp:5:2", "--series", "t^2+t^3", "--trunc", "6"]
+        if verb == "equivalent":
+            argv += ["--series2", "t^2+t^3"]
         code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""
