@@ -34,7 +34,7 @@ cs[i] // p^j % p, with no RingElem arithmetic in between.
 Over the fields canonicalize_char0 composes series, and compose runs
 each of its substitutions t - c*t^r on the same kernel over Q and F_p;
 over the graded fields, whose coefficients are not single scalars, it
-stays on compose's dict path.
+runs compose's one loop on RingElem values.
 
 Over Z/p^K[v] (|v| = 2) the orbits are graded: a degree-homogeneous
 datum is u(t) = v^-1 * ubar(v^e * t) with ubar over Z/p^K, a degree-0

@@ -32,7 +32,7 @@ parity of the stored images: deliberately broken structures must be
 representable so that square-zero failure can be witnessed.
 
 nc_mul, derivation_apply and apply_endo run on value maps {word: value},
-chosen by the ring mode alone (series._plain): over Q, F_p and Z/p^K
+chosen by the ring mode alone (series._kind): over Q, F_p and Z/p^K
 without v a value is the coefficient's base scalar, a Fraction or a
 residue, and over [v] and the polynomial mode it stays the RingElem.
 One loop serves both kinds, since s + p and s * p mean the right thing
@@ -59,7 +59,7 @@ from .series import (
     compose as ps_compose,
     lowered,
     reversion as ps_reversion,
-    _plain,
+    _kind,
 )
 
 _ALPHABET = ("T", "t")
@@ -258,12 +258,6 @@ def nc_to_powers(x: NCSeries) -> PowerSeries:
 # The kernel of nc_mul, derivation_apply and apply_endo; see the module
 # docstring.  m is the modulus a plain value is reduced by, None over Q
 # and for RingElem values, which reduce themselves.
-
-
-def _kind(ring: CoeffRing):
-    """(plain, m): whether ring's values are base scalars, and their modulus."""
-    plain = _plain(ring)
-    return plain, ring.modulus if plain else None
 
 
 def _values(x: NCSeries, plain: bool) -> dict:

@@ -250,6 +250,12 @@ class RingElem:
                 out.pop(k, None)
         return RingElem(r, out)
 
+    def __radd__(self, other):
+        # 0 + x is x, so a sum may start at the integer 0
+        if type(other) is int and other == 0:
+            return self
+        return NotImplemented
+
     def __neg__(self):
         r = self.ring
         return RingElem(r, {k: r._bnorm(-c) for k, c in self.terms.items()})

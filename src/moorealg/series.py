@@ -13,18 +13,16 @@ precision than they have:
 where ord is the first exponent with a nonzero known coefficient (one
 past the truncation for a series that is zero as far as it is known).
 
-compose, mul and reciprocal have two paths with the same bounds,
-errors and outputs, chosen by the ring mode alone (_plain): over Q, F_p
-and Z/p^K without v a coefficient is one base scalar, and the
-plain-scalar kernel works on lists of those scalars (or, over Q, of
-integers over one common denominator), reducing once per output
-coefficient and building RingElems only for the result; over [v] and the
-polynomial mode they multiply RingElems in dicts.  On the plain path
-compose runs an elementary substitution t + a*t^r as one binomial pass
-over a dense list (_substitute_plain): residues mod m over F_p and
-Z/p^K, integers over one common denominator over Q.  So the field
-canonical forms, which compose with t - c*t^r, run on it, and the
-Z/p^K reduction in moduli calls it on its residue lists directly.
+compose, mul and reciprocal each run one loop for every ring mode, on
+lists of values: over Q, F_p and Z/p^K without v (the plain rings) a
+value is a coefficient's base scalar, or over Q an integer over one
+common denominator, and RingElems are built only for the result; over
+[v] and the polynomial mode a value is the RingElem itself.  One loop
+serves both kinds, since s + p and s * p mean the right thing for each.
+On the plain rings compose runs an elementary substitution t + a*t^r as
+one binomial pass over a dense list (_substitute_plain), so the field
+canonical forms, which compose with t - c*t^r, run on it, and the Z/p^K
+reduction in moduli calls it on its residue lists directly.
 
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
@@ -179,17 +177,19 @@ class PowerSeries:
     def __mul__(self, other):
         self._check(other)
         n = min(lowered(other.order(), -self.trunc), lowered(self.order(), -other.trunc))
-        if _plain(self.ring):
-            return _mul_plain(self, other, n)
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j > n:
-                    continue
-                s = out.get(i + j)
-                p = a * b
-                out[i + j] = p if s is None else s + p
-        return PowerSeries(self.ring, out, n)
+        plain, m = _kind(self.ring)
+        (xs, da), (ys, db) = _integers(self, n, plain, m), _integers(other, n, plain, m)
+        if not xs or not ys:
+            return PowerSeries(self.ring, {}, n)
+        top = min(n, xs[-1][0] + ys[-1][0])
+        acc = [0] * (top + 1)
+        for i, x in xs:
+            for j, y in ys:
+                e = i + j
+                if e > top:
+                    break
+                acc[e] += x * y
+        return _lifted(self.ring, acc, da * db, n)
 
     def scaled(self, e: RingElem) -> "PowerSeries":
         if e.ring != self.ring:
@@ -206,32 +206,40 @@ def ps_t(ring: CoeffRing, trunc: int) -> PowerSeries:
     return PowerSeries(ring, {1: ring.one()}, trunc)
 
 
-# -- plain-scalar kernel -----------------------------------------------------
+# -- the series kernel -------------------------------------------------------
 #
-# A coefficient over Q, F_p or Z/p^K (no v) is one base scalar c.terms[0]:
-# a Fraction over Q, a residue in [0, m) otherwise.  compose and mul run on
-# integers, the residues or over Q the numerators over one common
-# denominator, since a Fraction operation pays a gcd every time; reciprocal
-# runs on the base scalars, since each of its coefficients feeds the next.
+# The values of the module docstring: compose and mul take integers on the
+# plain rings, residues or over Q numerators over one common denominator,
+# since a Fraction operation pays a gcd every time; reciprocal takes the
+# base scalars, since each of its coefficients feeds the next.  Every list
+# entry starts at the integer 0, and 0 + x is x for a RingElem too.
 
 
-def _plain(ring: CoeffRing) -> bool:
-    """Whether ring's series take the plain-scalar path."""
-    return not ring.laurent and ring.mode != "Poly"
+def _kind(ring: CoeffRing):
+    """(plain, m): whether ring's values are base scalars, and their modulus.
 
-
-def _scalars(f: PowerSeries, upto: int) -> list:
-    """[(i, base scalar of f_i)] for the coefficients i <= upto, ascending."""
-    return [(i, c.terms[0]) for i, c in sorted(f.coeffs.items()) if i <= upto]
-
-
-def _integers(f: PowerSeries, upto: int):
-    """(pairs, den): the coefficients i <= upto as [(i, integer)], f_i = integer/den.
-
-    den is 1 outside Q, and over Q the least common denominator.
+    m is None over Q and for RingElem values, which reduce themselves.
     """
-    pairs = _scalars(f, upto)
-    if f.ring.modulus is not None:
+    plain = not ring.laurent and ring.mode != "Poly"
+    return plain, ring.modulus if plain else None
+
+
+def _scalars(f: PowerSeries, upto: int, plain: bool) -> list:
+    """[(i, value of f_i)] for the coefficients i <= upto, ascending."""
+    items = sorted(f.coeffs.items())
+    if plain:
+        return [(i, c.terms[0]) for i, c in items if i <= upto]
+    return [p for p in items if p[0] <= upto]
+
+
+def _integers(f: PowerSeries, upto: int, plain: bool, m):
+    """(pairs, den): the coefficients i <= upto as [(i, value)], f_i = value/den.
+
+    den is 1 outside Q, and over Q the least common denominator, so a
+    plain value is an integer.  plain and m are _kind(f.ring).
+    """
+    pairs = _scalars(f, upto, plain)
+    if not plain or m is not None:
         return pairs, 1
     den = 1
     for _, c in pairs:
@@ -241,14 +249,17 @@ def _integers(f: PowerSeries, upto: int):
 
 def _lifted(ring: CoeffRing, acc: list, den: int, n: int) -> PowerSeries:
     """The series with acc[i]/den at t^i, acc unreduced, known through n."""
-    m = ring.modulus
+    plain, m = _kind(ring)
     n = capped(n)
     coeffs = {}
     for i, c in enumerate(acc[: n + 1]):
         if c:
-            c = Fraction(c, den) if m is None else c % m
-            if c:
-                coeffs[i] = RingElem(ring, {0: c})
+            if plain:
+                c = Fraction(c, den) if m is None else c % m
+                if not c:
+                    continue
+                c = RingElem(ring, {0: c})
+            coeffs[i] = c
     # built without the constructor's per-coefficient checks: every key
     # lies in [0, n] and every value is a nonzero element over ring
     out = object.__new__(PowerSeries)
@@ -264,70 +275,6 @@ def _residues(f: PowerSeries) -> list:
     return out
 
 
-def _mul_plain(a: PowerSeries, b: PowerSeries, n: int) -> PowerSeries:
-    (xs, da), (ys, db) = _integers(a, n), _integers(b, n)
-    if not xs or not ys:
-        return PowerSeries(a.ring, {}, n)
-    top = min(n, xs[-1][0] + ys[-1][0])
-    acc = [0] * (top + 1)
-    for i, x in xs:
-        for j, y in ys:
-            e = i + j
-            if e > top:
-                break
-            acc[e] += x * y
-    return _lifted(a.ring, acc, da * db, n)
-
-
-def _compose_plain(f: PowerSeries, g: PowerSeries, n: int) -> PowerSeries:
-    """f(g) through n as sum_k f_k g^k, over the denominator e * d^kmax.
-
-    With f_k = F_k/e and g = G/d, f_k g^k = F_k d^(kmax-k) G^k / (e d^kmax),
-    so the sum runs on integers; kmax is the last k for which g^k reaches
-    the result.
-    """
-    m = f.ring.modulus
-    top = f.degree() or 0  # None for f = 0
-    # no exponent past deg f * deg g arises, even when n is EXACT
-    cap = max(min(n, top * (g.degree() or 0)), 0)
-    row, d = _integers(g, cap)
-    og = row[0][0] if row else cap + 1
-    kmax = min(top, cap // og)
-    fs, ef = _integers(f, kmax)
-    fs = dict(fs)
-    dpow = [1]  # d^0 .. d^kmax
-    for _ in range(kmax):
-        dpow.append(dpow[-1] * d)
-    acc = [0] * (cap + 1)
-    acc[0] = fs.get(0, 0) * dpow[kmax]
-    power = [0] * (cap + 1)  # G^k through cap, reduced modulo m
-    for j, b in row:
-        power[j] = b
-    lo = og  # G^k vanishes below k * og
-    for k in range(1, kmax + 1):
-        c = fs.get(k)
-        if c is not None:
-            c *= dpow[kmax - k]
-            for i in range(lo, cap + 1):
-                a = power[i]
-                if a:
-                    acc[i] += a * c
-        if k == kmax:
-            break
-        nxt = [0] * (cap + 1)
-        for i in range(lo, cap + 1):
-            a = power[i]
-            if a:
-                for j, b in row:
-                    e = i + j
-                    if e > cap:
-                        break
-                    nxt[e] += a * b
-        power = nxt if m is None else [x % m for x in nxt]
-        lo += og
-    return _lifted(f.ring, acc, ef * dpow[kmax], n)
-
-
 def _substitute_plain(f: list, a: int, r: int, n: int, m, d: int = 1) -> list:
     """f(t + (a/d)*t^r) through t^n, for r >= 2 and f a list of integers.
 
@@ -336,7 +283,7 @@ def _substitute_plain(f: list, a: int, r: int, n: int, m, d: int = 1) -> list:
     caller keeps.  By the binomial theorem f_i*t^i sends
     f_i*C(i, j)*(a/d)^j to t^(i + j*(r-1)), so one pass over (j, i)
     replaces the powers of t + a*t^r that compose builds.  Returns the
-    entries through min(n, (len(f) - 1)*r), where _compose_plain also
+    entries through min(n, (len(f) - 1)*r), where compose's loop also
     stops; with J = (length - 1) // r the last j that reaches them, row j
     is scaled by a^j*d^(J-j), so the result is over d^J times f's
     denominator.
@@ -371,7 +318,7 @@ def _substituted(f: PowerSeries, a, r: int, n: int) -> PowerSeries:
     m = f.ring.modulus
     if m is not None:
         return _lifted(f.ring, _substitute_plain(_residues(f), a, r, n, m), 1, n)
-    pairs, den = _integers(f, n)
+    pairs, den = _integers(f, n, True, None)
     fs = [0] * (pairs[-1][0] + 1 if pairs else 1)
     for i, c in pairs:
         fs[i] = c
@@ -379,37 +326,21 @@ def _substituted(f: PowerSeries, a, r: int, n: int) -> PowerSeries:
     return _lifted(f.ring, out, den * a.denominator ** (max(len(out) - 1, 0) // r), n)
 
 
-def _reciprocal_plain(f: PowerSeries, b0, top: int) -> PowerSeries:
-    m = f.ring.modulus
-    fs = _scalars(f, top)
-    out = [b0] + [0] * top
-    for i in range(1, top + 1):
-        s = 0
-        for j, a in fs:
-            if j > i:
-                break
-            if j:
-                s += a * out[i - j]
-        out[i] = -(b0 * s) if m is None else -(b0 * s) % m
-    return _lifted(f.ring, out, 1, f.trunc)
-
-
 def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Substitute g into f.  Needs g(0) = 0.
 
-    The bound is computed here; the sum of f_k g^k then runs on one of
-    two paths, chosen by _plain(ring) alone.  Over Q, F_p and Z/p^K
-    (no v) an elementary substitution g = t + a*t^r (two terms, the one
-    at t equal to one) is one binomial pass, _substituted, and any other
-    g goes to _compose_plain, which keeps g^k as a list of integers
-    through the bound: residues reduced modulo m once per entry of each
-    power, or over Q numerators over one common denominator, so each
-    output coefficient becomes a residue or a Fraction once.  Over [v]
-    and Poly g^k is a plain {exponent: RingElem} dict, and a coefficient
-    equal to one is used as is, never multiplied by, so an elementary
-    substitution t + c*t^s costs one multiplication per binomial term of
-    each power.  Every path stops each row at the bound, and no
-    intermediate series is built.
+    The bound is computed here, and f(g) = sum_k f_k g^k then runs on
+    value lists (see the kernel notes above), one loop for every ring
+    mode: g^k is kept through the bound, reduced modulo m once per entry
+    of each power on F_p and Z/p^K, and over Q as numerators over
+    e * d^kmax, with f_k = F_k/e, g = G/d and kmax the last k for which
+    g^k reaches the result, since f_k g^k = F_k d^(kmax-k) G^k /
+    (e d^kmax).  On RingElem values a coefficient equal to one is never
+    multiplied by, so an elementary substitution t + c*t^s costs one
+    multiplication per binomial term of each power.  On the plain rings
+    an elementary substitution g = t + a*t^r (two terms, the one at t
+    equal to one) is instead one binomial pass, _substituted.  Each row
+    stops at the bound, and no intermediate series is built.
     """
     f._check(g)
     if 0 in g.coeffs:
@@ -420,77 +351,102 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     from_f = lowered(capped((f.trunc + 1) * og), 1)
     from_g = lowered(ofu, 1) * og + g.trunc
     n = capped(min(from_f, from_g))
-    if _plain(f.ring):
-        gs = g.coeffs
-        if len(gs) == 2 and 1 in gs and gs[1].terms[0] == 1:
-            r = max(gs)
-            return _substituted(f, gs[r].terms[0], r, n)
-        return _compose_plain(f, g, n)
-    out = {}
-    if 0 in f.coeffs:
-        out[0] = f.coeffs[0]
+    plain, m = _kind(f.ring)
+    gs = g.coeffs
+    if plain and len(gs) == 2 and 1 in gs and gs[1].terms[0] == 1:
+        r = max(gs)
+        return _substituted(f, gs[r].terms[0], r, n)
     top = f.degree() or 0  # None for f = 0
-    one = f.ring.one().terms
-    # g's coefficients up to the bound, each flagged if it is one
-    row = [(j, b, b.terms == one) for j, b in sorted(g.coeffs.items()) if j <= n]
-    power = {j: b for j, b, _ in row}  # g^k up to the bound
-    k = 1
-    while power and k <= top:
-        c = f.coeffs.get(k)
+    # no exponent past deg f * deg g arises, even when n is EXACT
+    cap = max(min(n, top * (g.degree() or 0)), 0)
+    row, d = _integers(g, cap, plain, m)
+    og = row[0][0] if row else cap + 1
+    kmax = min(top, cap // og)
+    fs, ef = _integers(f, kmax, plain, m)
+    fs = dict(fs)
+    acc = [0] * (cap + 1)
+    acc[0] = fs.get(0, 0)
+    if d != 1:
+        acc[0] *= d**kmax
+    power = [0] * (cap + 1)  # G^k through cap
+    for j, b in row:
+        power[j] = b
+    # a RingElem factor equal to one is never multiplied by: the first
+    # such t^j copies G^k shifted, and the others add it in; on the plain
+    # rings a product costs less than the test
+    one = None if plain else {f.ring._zero_key(): 1}  # the terms of one
+    units = [j for j, b in row if not plain and b.terms == one]
+    if units:
+        row = [(j, b) for j, b in row if j not in units]
+    lo = og  # G^k vanishes below k * og
+    for k in range(1, kmax + 1):
+        c = fs.get(k)
         if c is not None:
-            c_one = c.terms == one
-            for i, a in power.items():
-                p = a if c_one else a * c
-                s = out.get(i)
-                out[i] = p if s is None else s + p
-        k += 1
-        if k > top:
+            if d != 1:
+                c *= d ** (kmax - k)
+            unit = not plain and c.terms == one
+            for i in range(lo, cap + 1):
+                a = power[i]
+                if a:
+                    acc[i] += a if unit else a * c
+        if k == kmax:
             break
-        nxt = {}
-        for i, a in power.items():
-            for j, b, b_one in row:
-                e = i + j
-                if e > n:
-                    break
-                p = a if b_one else a * b
-                s = nxt.get(e)
-                nxt[e] = p if s is None else s + p
-        power = {e: a for e, a in nxt.items() if a}
-    return PowerSeries(f.ring, out, n)
+        nxt = [0] * (cap + 1)
+        if units:
+            j = units[0]
+            nxt[j:] = power[: cap + 1 - j]
+            for j in units[1:]:
+                for i in range(lo, cap - j + 1):
+                    a = power[i]
+                    if a:
+                        nxt[i + j] += a
+        for i in range(lo, cap + 1):
+            a = power[i]
+            if a:
+                for j, b in row:
+                    e = i + j
+                    if e > cap:
+                        break
+                    nxt[e] += a * b
+        power = nxt if m is None else [x % m for x in nxt]
+        lo += og
+    return _lifted(f.ring, acc, ef * d**kmax, n)
 
 
 def reciprocal(f: PowerSeries) -> PowerSeries:
     """Multiplicative inverse 1/f, to f's truncation; needs a unit constant term.
 
     Solved coefficient by coefficient from f * (1/f) = 1, so it divides
-    only by the constant term.  The reciprocal of an exact series is
-    infinite unless the series is a constant, so an exact input of
-    positive degree raises PrecisionError; an exact constant gives an
-    exact constant.
+    only by the constant term, on the values of the series kernel: base
+    scalars on the plain rings, RingElems otherwise.  The reciprocal of
+    an exact series is infinite unless the series is a constant, so an
+    exact input of positive degree raises PrecisionError; an exact
+    constant gives an exact constant.
     """
     a0 = f.coeff(0)
     if not a0.is_unit():
         raise NotInvertibleError("reciprocal needs a unit constant term")
     if f.trunc == EXACT and f.coeffs.keys() != {0}:
         raise PrecisionError("reciprocal of an exact series is infinite; truncate")
-    b0 = a0.inverse()
     top = 0 if f.trunc == EXACT else f.trunc
-    if _plain(f.ring):
-        return _reciprocal_plain(f, b0.terms[0], top)
-    out = {0: b0}
+    plain, m = _kind(f.ring)
+    b0 = a0.inverse()
+    if plain:
+        b0 = b0.terms[0]
+    fs = _scalars(f, top, plain)[1:]  # f_0 is a unit, so it comes first
+    out = [b0] + [0] * top
     for i in range(1, top + 1):
-        s = None
-        for j in range(1, i + 1):
-            aj = f.coeffs.get(j)
-            bij = out.get(i - j)
-            if aj is None or bij is None:
-                continue
-            s = aj * bij if s is None else s + aj * bij
-        if s is not None:
-            c = -(b0 * s)
-            if c:
-                out[i] = c
-    return PowerSeries(f.ring, out, f.trunc)
+        s = 0
+        for j, a in fs:
+            if j > i:
+                break
+            b = out[i - j]
+            if b:
+                s += a * b
+        if s:
+            s = -(b0 * s)
+            out[i] = s if m is None else s % m
+    return _lifted(f.ring, out, 1, f.trunc)
 
 
 def reversion(f: PowerSeries) -> PowerSeries:

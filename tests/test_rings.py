@@ -79,6 +79,17 @@ class TestArith:
         with pytest.raises(IncompatibleRingError):
             Q.one() + F5.one()
 
+    @pytest.mark.parametrize("x", [F7.from_int(3), QV.el({1: 2, -1: Fraction(1, 3)})])
+    def test_a_sum_may_start_at_integer_zero(self, x):
+        assert 0 + x is x
+        y = x.ring.one()
+        assert sum((x, y)) == x + y
+
+    @pytest.mark.parametrize("left", [1, False, 0.0])
+    def test_only_integer_zero_adds_from_the_left(self, left):
+        with pytest.raises(TypeError):
+            left + F7.from_int(3)
+
     def test_laurent_product_collects_exponents(self):
         x = QV.el({1: 1, 0: 1})          # v + 1
         y = QV.el({1: 1, 0: -1})         # v - 1

@@ -41,10 +41,13 @@ from util import (
     compose_by_powers,
     ext,
     is_trivial,
+    mul_by_terms,
     parse_elem,
+    rand_coeff,
     rand_elem,
     rand_series,
     rand_unit,
+    reciprocal_by_solving,
     reversion_by_coefficients,
     series_from_json,
     series_to_json,
@@ -61,6 +64,7 @@ F11 = CoeffRing("Fp", p=11)
 Z34V = CoeffRing("Zp", p=3, K=4, laurent=True)
 F5V = CoeffRing("Fp", p=5, laurent=True)
 QV = CoeffRing("Q", laurent=True)
+POLY = CoeffRing("Poly", symbols=("a", "b"))
 
 
 def qs(text, trunc=8):
@@ -291,7 +295,27 @@ class TestComposeOracle:
     """compose against the power-by-power oracle in tests/util.py."""
 
     @staticmethod
-    def _substitutions(ring, rng, n):
+    def _elem(ring, rng, nonzero=False):
+        """rand_elem, and over the polynomial mode util.rand_coeff."""
+        if ring.mode != "Poly":
+            return rand_elem(ring, rng, nonzero=nonzero)
+        while True:
+            x = rand_coeff(ring, rng)
+            if x or not nonzero:
+                return x
+
+    @classmethod
+    def _series(cls, ring, rng, n, ord_min=1, unit_linear=False, density=0.7):
+        """rand_series, and over the polynomial mode a series of rand_coeff draws."""
+        if ring.mode != "Poly":
+            return rand_series(ring, rng, n, ord_min=ord_min, unit_linear=unit_linear, density=density)
+        coeffs = {i: cls._elem(ring, rng) for i in range(ord_min, n + 1) if rng.random() < density}
+        if unit_linear:
+            coeffs[1] = ring.from_int(rng.choice((-2, -1, 1, 3)))
+        return PowerSeries(ring, coeffs, n)
+
+    @classmethod
+    def _substitutions(cls, ring, rng, n):
         one = ring.one()
         s = rng.randint(2, max(2, n))
         # t + a*t^r takes compose's binomial pass on the plain rings: a with
@@ -301,15 +325,15 @@ class TestComposeOracle:
         elif ring.mode == "Zp":
             a = ring.from_int(ring.p * rng.randrange(1, ring.p))
         else:
-            a = rand_elem(ring, rng, nonzero=True)
+            a = cls._elem(ring, rng, nonzero=True)
         return (
-            PowerSeries(ring, {1: one, s: rand_elem(ring, rng, nonzero=True)}, n),
-            PowerSeries(ring, {1: one, s: rand_elem(ring, rng)}, EXACT),
-            rand_series(ring, rng, n, density=1.0),
-            rand_series(ring, rng, n, unit_linear=True, density=1.0),
-            PowerSeries(ring, {1: one, 2: one, 3: rand_elem(ring, rng), 5: one}, n),
-            PowerSeries(ring, {2: one, 3: one, 4: rand_elem(ring, rng)}, EXACT),
-            rand_series(ring, rng, n, ord_min=max(1, n - 1)),
+            PowerSeries(ring, {1: one, s: cls._elem(ring, rng, nonzero=True)}, n),
+            PowerSeries(ring, {1: one, s: cls._elem(ring, rng)}, EXACT),
+            cls._series(ring, rng, n, density=1.0),
+            cls._series(ring, rng, n, unit_linear=True, density=1.0),
+            PowerSeries(ring, {1: one, 2: one, 3: cls._elem(ring, rng), 5: one}, n),
+            PowerSeries(ring, {2: one, 3: one, 4: cls._elem(ring, rng)}, EXACT),
+            cls._series(ring, rng, n, ord_min=max(1, n - 1)),
             PowerSeries(ring, {}, n),
             PowerSeries(ring, {1: one, s: a}, EXACT),
             PowerSeries(ring, {1: one, rng.randint(2, 4): a}, n + 3),
@@ -317,21 +341,21 @@ class TestComposeOracle:
             PowerSeries(ring, {1: one, 2: a}, 2),  # known only through t^2
         )
 
-    @staticmethod
-    def _outers(ring, rng, n):
+    @classmethod
+    def _outers(cls, ring, rng, n):
         return (
-            rand_series(ring, rng, n, ord_min=0, density=1.0),
-            rand_series(ring, rng, n, ord_min=1, density=0.5),
-            rand_series(ring, rng, n, ord_min=2, density=0.7),
-            PowerSeries(ring, {0: ring.one(), 2: rand_elem(ring, rng), 3: ring.one()}, EXACT),
-            PowerSeries(ring, {0: rand_elem(ring, rng)}, n),
+            cls._series(ring, rng, n, ord_min=0, density=1.0),
+            cls._series(ring, rng, n, ord_min=1, density=0.5),
+            cls._series(ring, rng, n, ord_min=2, density=0.7),
+            PowerSeries(ring, {0: ring.one(), 2: cls._elem(ring, rng), 3: ring.one()}, EXACT),
+            PowerSeries(ring, {0: cls._elem(ring, rng)}, n),
             PowerSeries(ring, {}, n),
-            PowerSeries(ring, {1: rand_elem(ring, rng), 2: ring.one(), 5: rand_elem(ring, rng)}, EXACT),
+            PowerSeries(ring, {1: cls._elem(ring, rng), 2: ring.one(), 5: cls._elem(ring, rng)}, EXACT),
         )
 
     def test_matches_power_by_power_oracle(self):
         rng = random.Random(43)
-        for ring in (Q, F7, Z56, Z34V, F5V, QV):
+        for ring in (Q, F7, Z56, Z34V, F5V, QV, POLY):
             for n in (1, 3, 6, 10):
                 for g in self._substitutions(ring, rng, n):
                     for f in self._outers(ring, rng, n):
@@ -415,8 +439,9 @@ class TestReciprocal:
 def laurent_twin(f: PowerSeries) -> PowerSeries:
     """f over the same ring with [v], every coefficient at v^0.
 
-    The [v] twin takes the dict path of compose, mul and reciprocal, so it
-    checks the plain-scalar path against the other one.
+    On the twin the series kernel runs on RingElem values instead of
+    base scalars, so the twin checks the other value kind on the same
+    draws.
     """
     r = f.ring
     rv = CoeffRing(r.mode, p=r.p, K=r.K, laurent=True)
@@ -424,7 +449,9 @@ def laurent_twin(f: PowerSeries) -> PowerSeries:
 
 
 class TestPlainKernel:
-    """The plain-scalar path of Q, F_p and Z/p^K against the [v] dict path."""
+    """compose, mul, reciprocal and reversion on Q, F_p and Z/p^K, and on
+    their [v] twins, against the oracles in tests/util.py, which share no
+    series arithmetic with the library."""
 
     RINGS = (Q, F7, CoeffRing("Fp", p=2), Z53)
 
@@ -446,25 +473,24 @@ class TestPlainKernel:
         except MooreError as err:
             return type(err)
 
-    def _check_twins(self, plain, twin):
-        if isinstance(plain, type):
-            assert plain is twin
+    def _check(self, got, want):
+        if isinstance(want, type):
+            assert got is want
             return
-        ring = plain.ring
-        assert plain.trunc == twin.trunc
-        assert {i: c.terms for i, c in plain.coeffs.items()} == {
-            i: c.terms for i, c in twin.coeffs.items()
+        ring = got.ring
+        assert got.trunc == want.trunc
+        assert {i: c.terms for i, c in got.coeffs.items()} == {
+            i: c.terms for i, c in want.coeffs.items()
         }
         # {0: Fraction(1)} == {0: 1}, so the scalar type is checked apart
-        for c in plain.coeffs.values():
-            ((k, x),) = c.terms.items()
-            assert k == 0
-            if ring.mode == "Q":
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int and 0 <= x < ring.modulus
+        for c in got.coeffs.values():
+            for x in c.terms.values():
+                if ring.mode == "Q":
+                    assert type(x) is Fraction
+                else:
+                    assert type(x) is int and 0 <= x < ring.modulus
 
-    def test_matches_the_dict_path(self):
+    def test_matches_the_oracles(self):
         rng = random.Random(29)
         for ring in self.RINGS:
             for _ in range(150):
@@ -472,17 +498,17 @@ class TestPlainKernel:
                 g = self._draw(ring, rng, rng.choice((1, 1, 2, 3)))  # order >= 2 too
                 u = f + PowerSeries(ring, {0: rand_unit(ring, rng)}, EXACT)
                 h = g + PowerSeries(ring, {1: rand_unit(ring, rng)}, EXACT)
-                ft, gt, ut, ht = map(laurent_twin, (f, g, u, h))
-                for op, args, targs in (
-                    (compose, (f, g), (ft, gt)),
-                    (compose, (g, h), (gt, ht)),
-                    (PowerSeries.__mul__, (f, g), (ft, gt)),
-                    (PowerSeries.__mul__, (u, f), (ut, ft)),
-                    (reciprocal, (u,), (ut,)),
-                    (reciprocal, (f,), (ft,)),
-                    (reversion, (h,), (ht,)),
+                for op, oracle, args in (
+                    (compose, compose_by_powers, (f, g)),
+                    (compose, compose_by_powers, (g, h)),
+                    (PowerSeries.__mul__, mul_by_terms, (f, g)),
+                    (PowerSeries.__mul__, mul_by_terms, (u, f)),
+                    (reciprocal, reciprocal_by_solving, (u,)),
+                    (reciprocal, reciprocal_by_solving, (f,)),
+                    (reversion, reversion_by_coefficients, (h,)),
                 ):
-                    self._check_twins(self._outcome(op, *args), self._outcome(op, *targs))
+                    for xs in (args, tuple(map(laurent_twin, args))):
+                        self._check(self._outcome(op, *xs), self._outcome(oracle, *xs))
 
 
 class TestSubstitutionKernel:

@@ -207,6 +207,51 @@ def compose_by_powers(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     return PowerSeries(f.ring, out, n)
 
 
+def mul_by_terms(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """The product a * b, one RingElem product per pair of terms.
+
+    The reference for PowerSeries.__mul__: the same bound and checks,
+    and every pair of terms whose exponents sum to at most the bound is
+    multiplied and added into a dict, so it shares no series arithmetic
+    with the library.
+    """
+    a._check(b)
+    n = min(lowered(b.order(), -a.trunc), lowered(a.order(), -b.trunc))
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j <= n:
+                s = out.get(i + j)
+                p = x * y
+                out[i + j] = p if s is None else s + p
+    return PowerSeries(a.ring, out, n)
+
+
+def reciprocal_by_solving(f: PowerSeries) -> PowerSeries:
+    """1/f solved from f * (1/f) = 1, one RingElem equation per coefficient.
+
+    The reference for moorealg.series.reciprocal: the same checks and
+    exceptions, and b_i = -b_0 * (a_1 b_(i-1) + ... + a_i b_0) is summed
+    over RingElems in a dict, so it shares no series arithmetic with the
+    library.
+    """
+    a0 = f.coeff(0)
+    if not a0.is_unit():
+        raise NotInvertibleError("reciprocal needs a unit constant term")
+    if f.trunc == EXACT and f.coeffs.keys() != {0}:
+        raise PrecisionError("reciprocal of an exact series is infinite; truncate")
+    b0 = a0.inverse()
+    out = {0: b0}
+    top = 0 if f.trunc == EXACT else f.trunc
+    for i in range(1, top + 1):
+        s = f.ring.zero()
+        for j in range(1, i + 1):
+            if j in f.coeffs and i - j in out:
+                s = s + f.coeffs[j] * out[i - j]
+        out[i] = -(b0 * s)
+    return PowerSeries(f.ring, out, f.trunc)
+
+
 def dvr_reduce_by_compose(cur, wit, k):
     """Tail reduction and top-digit gauge over Z/p^K, one composition per step.
 
