@@ -13,16 +13,17 @@ precision than they have:
 where ord is the first exponent with a nonzero known coefficient (one
 past the truncation for a series that is zero as far as it is known).
 
-compose, mul and reciprocal each run one loop for every ring mode, on
-lists of values: over Q, F_p and Z/p^K without v (the plain rings) a
-value is a coefficient's base scalar, or over Q an integer over one
-common denominator, and RingElems are built only for the result; over
-[v] and the polynomial mode a value is the RingElem itself.  One loop
-serves both kinds, since s + p and s * p mean the right thing for each.
-On the plain rings compose runs an elementary substitution t + a*t^r as
-one binomial pass over a dense list (_substitute_plain), so the field
-canonical forms, which compose with t - c*t^r, run on it, and the Z/p^K
-reduction in moduli calls it on its residue lists directly.
+compose, mul, reciprocal and reversion each run one loop for every ring
+mode, on lists of values: over Q, F_p and Z/p^K without v (the plain
+rings) a value is a coefficient's base scalar, or over Q an integer over
+one common denominator (reversion rescales to integers instead), and
+RingElems are built only for the result; over [v] and the polynomial
+mode a value is the RingElem itself.  One loop serves both kinds, since
+s + p and s * p mean the right thing for each.  On the plain rings
+compose runs an elementary substitution t + a*t^r as one binomial pass
+over a dense list (_substitute_plain), so the field canonical forms,
+which compose with t - c*t^r, run on it, and the Z/p^K reduction in
+moduli calls it on its residue lists directly.
 
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
@@ -52,6 +53,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     CompositionError,
@@ -452,27 +454,38 @@ def reciprocal(f: PowerSeries) -> PowerSeries:
 def reversion(f: PowerSeries) -> PowerSeries:
     """Compositional inverse g of a unit-linear series: f(g) = t through t^n.
 
-    Newton iteration (Brent & Kung, J. ACM 25, 1978).  g = t/f_1 is
-    right through t^1.  If g is right through t^m, the error
-    e = f(g) - t has order >= m + 1, and
+    One triangular solve, coefficient by coefficient, on a rescaled
+    series fhat with fhat_1 = 1, whose inverse ghat has ghat_1 = 1.  The
+    coefficient of t^i in fhat(ghat) is ghat_i + sum_{k=2..i}
+    fhat_k*[t^i]ghat^k, and [t^i]ghat^k for k >= 2 reads only ghat_1 ..
+    ghat_(i-1).  So for i = 2..n the solve fills column i of ghat^k for
+    k = 2..min(i, deg f), each entry from the lower columns of
+    ghat^(k-1) (ghat^k has order k), and sets
 
-        g - e / f'(g)
+        ghat_i = -sum_k fhat_k*[t^i]ghat^k.
 
-    is right through t^(2m+1), since the neglected term is of order
-    e^2.  Each step takes m to M = min(2m, n); doubling rather than
-    2m + 1 keeps the bounds at powers of two, so n = 16 composes at 2, 4,
-    8, 16 rather than at 3, 7, 15, 16.  The step needs f(g) - t to
-    bound M, so it composes f truncated to M with g at bound M; and,
-    because e / f'(g) only matters from t^(m+1) on, it needs f'(g) and
-    its reciprocal only to bound M - m - 1.  The step writes the
-    coefficients m+1..M of g and leaves the known ones as they are.
-    Nothing is divided by an integer, only by the unit f_1 (the
-    constant term of f'(g)), so this works over every ring in which f_1
-    is a unit.
+    It runs on the values of the series kernel, one loop for every ring
+    mode: residues on F_p and Z/p^K, reduced once per column entry, and
+    RingElems over [v] and the polynomial mode, with
 
-    Cost: about log2(n) steps at doubling bounds, the last at n, each
-    composing at M and at about M/2; then one composition at n that
-    checks f(g) = t.
+        fhat(s) = f(s/f_1),  fhat_k = f_k/f_1^k,  g_i = ghat_i/f_1,
+
+    so the only division is the inverse of the unit f_1, and this works
+    over every ring in which f_1 is a unit.  Over Q, with D the least
+    common denominator of f and F = D*f,
+
+        fhat(s) = (D/F_1^2)*f(F_1*s),  fhat_k = F_1^(k-2)*F_k,
+        g_i = ghat_i*D^i / F_1^(2i-1),
+
+    so ghat is solved in integers, with no division and no Fraction
+    until the result.
+
+    The result is then checked, independently of the solve: f(g) - t,
+    through the module's compose, must vanish through t^n.
+
+    Cost: about n^3/6 products of values for a dense f, and n^2*deg f/2
+    for a polynomial f of low degree; then the one composition at n of
+    the check.
     """
     if 0 in f.coeffs:
         raise NotInvertibleError("series has a constant term")
@@ -483,21 +496,61 @@ def reversion(f: PowerSeries) -> PowerSeries:
     if n == EXACT:
         raise PrecisionError("reversion needs a finite truncation")
     ring = f.ring
-    df = derivative(f)
-    coeffs = {1: f1.inverse()}
-    m = 1
-    while m < n:
-        M = min(2 * m, n)
-        g = PowerSeries(ring, coeffs, M)
-        err = compose(f.truncated(M), g) - ps_t(ring, M)
-        b = M - m - 1
-        step = err * reciprocal(compose(df.truncated(b), g.truncated(b)))
-        for i in range(m + 1, M + 1):
-            c = step.coeffs.get(i)
-            if c is not None:
-                coeffs[i] = -c
-        m = M
-    g = PowerSeries(ring, coeffs, n)
+    plain, m = _kind(ring)
+    rational = plain and m is None
+    kmax = f.degree()  # >= 1, and <= n
+    zero, one = (0, 1) if plain else (ring.zero(), ring.one())
+    fv = [zero] * (kmax + 1)  # fhat_k for k >= 2
+    if rational:
+        pairs, den = _integers(f, kmax, True, None)
+        lead = pairs[0][1]  # F_1
+        for k, c in pairs[1:]:
+            fv[k] = c * lead ** (k - 2)
+    else:
+        # fhat(s) = f(s/f_1): fhat_k = f_k/f_1^k, and g = ghat/f_1
+        a = f1.inverse()
+        if plain:
+            a = a.terms[0]
+        ak = [one, a]
+        for _ in range(2, kmax + 1):
+            x = ak[-1] * a
+            ak.append(x if m is None else x % m)
+        for k, c in _scalars(f, kmax, plain)[1:]:
+            x = c * ak[k]
+            fv[k] = x if m is None else x % m
+    g = [zero] * (n + 1)  # ghat, with ghat_1 = 1
+    g[1] = one
+    known = []  # ghat_2..ghat_(i-1)
+    powers = [None, g] + [[zero] * (n + 1) for _ in range(2, kmax + 1)]  # [t^i]ghat^k
+    for i in range(2, n + 1):
+        acc = 0
+        prev = g
+        for k in range(2, min(i, kmax) + 1):
+            # [t^i]g^k = [t^(i-1)]g^(k-1) + sum_{j=2..i-k+1} g_j*[t^(i-j)]g^(k-1);
+            # map stops at the shorter list, the i-k entries of g^(k-1)
+            s = sum(map(mul, known, prev[i - 2 : k - 2 : -1]), prev[i - 1])
+            if m is not None:
+                s %= m
+            cur = powers[k]
+            cur[i] = s
+            c = fv[k]
+            if c:
+                acc += c * s
+            prev = cur
+        if acc:
+            g[i] = -acc if m is None else -acc % m
+        known.append(g[i])
+    if rational:
+        # g_i = ghat_i * D^i / F_1^(2i-1)
+        coeffs, num, d = {}, den, lead
+        for i in range(1, n + 1):
+            if g[i]:
+                coeffs[i] = RingElem(ring, {0: Fraction(g[i] * num, d)})
+            num *= den
+            d *= lead * lead
+        g = PowerSeries(ring, coeffs, n)
+    else:
+        g = _lifted(ring, [x * a if x else x for x in g], 1, n)
     if any(i <= n for i in (compose(f, g) - ps_t(ring, n)).coeffs):
         raise InternalError(
             f"reversion failed to verify: f = {format_series(f)}, "
