@@ -812,30 +812,39 @@ def _orbit_oracle(p, K, N):
     return series, [find(i) for i in range(len(series))], index
 
 
+def forms_separate_orbits(p, K, N):
+    """Check canonicalize_dvr on every admissible series over Z/p^K at N.
+
+    Every member of an orbit gets the same outcome, and no two orbits
+    share a form; a form lies in the orbit it names.  Returns the number
+    of series and of orbits.  tools/exhaustive_orbits.py runs it on cases
+    too slow for the suite.
+    """
+    ring = CoeffRing("Zp", p, K)
+    series, root, index = _orbit_oracle(p, K, N)
+    outcome = {}
+    owner = {}
+    for s, r in zip(series, root):
+        try:
+            cf = canonicalize_dvr(S(ring, dict(enumerate(s, 1)), N))
+        except MooreError as exc:
+            got = type(exc)
+        else:
+            form = tuple(cf.form.coeff(i).terms.get(0, 0) for i in range(1, N + 1))
+            got = (cf.kind, cf.n, form, cf.form.trunc)
+            assert root[index[form]] == r, s
+            assert owner.setdefault(form, r) == r, s
+        assert outcome.setdefault(r, got) == got, s
+    return len(series), len(outcome)
+
+
 class TestExhaustiveOrbits:
     @pytest.mark.parametrize(
         "p, K, N, orbits",
         [(3, 2, 4, 11), (2, 3, 4, 8), (2, 3, 5, 16), (5, 2, 3, 9), (2, 2, 6, 20)],
     )
     def test_forms_separate_orbits(self, p, K, N, orbits):
-        # every member of an orbit gets the same outcome, and no two
-        # orbits share a form; a form lies in the orbit it names
-        ring = CoeffRing("Zp", p, K)
-        series, root, index = _orbit_oracle(p, K, N)
-        assert len(set(root)) == orbits
-        outcome = {}
-        owner = {}
-        for s, r in zip(series, root):
-            try:
-                cf = canonicalize_dvr(S(ring, dict(enumerate(s, 1)), N))
-            except MooreError as exc:
-                got = type(exc)
-            else:
-                form = tuple(cf.form.coeff(i).terms.get(0, 0) for i in range(1, N + 1))
-                got = (cf.kind, cf.n, form, cf.form.trunc)
-                assert root[index[form]] == r, s
-                assert owner.setdefault(form, r) == r, s
-            assert outcome.setdefault(r, got) == got, s
+        assert forms_separate_orbits(p, K, N)[1] == orbits
 
 
 class TestExhaustiveFieldOrbits:
