@@ -1,21 +1,20 @@
 """Per-call times of the series layer: reversion, compose, * and reciprocal.
 
-    python3 tools/layer_times.py [--rings Q,F7,...] [--sizes 16,32,64,128] \
-        [--budget 0.2] [--seed 1]
+    python3 tools/layer_times.py
 
 Runs on the moorealg of the tree it sits in (its src/ comes first on the
 path), so a copy of each revision times itself.  For every ring and
-truncation N the inputs are drawn once from the seed: a dense
+truncation N in RINGS and SIZES the inputs are drawn once from SEED: a dense
 unit-linear f to revert, a dense f and a dense unit-linear g for
 compose(f, g), two dense series of order 0 for *, and one with a unit
 constant term for reciprocal.  Every coefficient through t^N is a
 nonzero scalar drawn by moorealg._draws, a unit at t^0 and t^1; over [v]
 the coefficient of t^i is that scalar times v^(i-1), so the data are
 homogeneous, as graded data are, and every value stays one monomial.
-Each call is repeated until --budget seconds have passed, and at least
+Each call is repeated until BUDGET seconds have passed, and at least
 three times; the median is reported.  Over Q at N = 128 the dense inputs
 make one reversion take about 30 s, nearly all of it the composition that
-checks it, so the default run takes about two minutes.  The output is one
+checks it, so a run takes about two minutes.  The output is one
 JSON line:
 
     {"seed": 1, "budget_s": 0.2, "python": "3.11.x",
@@ -24,7 +23,6 @@ JSON line:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -39,8 +37,10 @@ from moorealg._draws import rand_scalar  # noqa: E402
 from moorealg.rings import parse_ring  # noqa: E402
 from moorealg.series import PowerSeries, compose, reciprocal, reversion  # noqa: E402
 
-RINGS = "Q,F7,F2305843009213693951,Zp:5:3,F5[v]"
-SIZES = "16,32,64,128"
+RINGS = ("Q", "F7", "F2305843009213693951", "Zp:5:3", "F5[v]")
+SIZES = (16, 32, 64, 128)
+SEED = 1
+BUDGET = 0.2
 
 
 def _dense(ring, rng, n: int, lo: int) -> PowerSeries:
@@ -64,9 +64,9 @@ def _inputs(ring, n: int, rng) -> dict:
     }
 
 
-def _median_ms(fn, args, budget: float) -> float:
+def _median_ms(fn, args) -> float:
     times = []
-    end = time.perf_counter() + budget
+    end = time.perf_counter() + BUDGET
     while len(times) < 3 or time.perf_counter() < end:
         t0 = time.perf_counter()
         fn(*args)
@@ -74,24 +74,16 @@ def _median_ms(fn, args, budget: float) -> float:
     return round(1000 * statistics.median(times), 4)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rings", default=RINGS, help=f"comma-separated ring specs (default {RINGS})")
-    ap.add_argument("--sizes", default=SIZES, help=f"comma-separated truncations (default {SIZES})")
-    ap.add_argument("--budget", type=float, default=0.2, help="seconds per call site (default 0.2)")
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-
-    sizes = [int(x) for x in args.sizes.split(",")]
+def main() -> int:
     table = {}
-    for spec in args.rings.split(","):
+    for spec in RINGS:
         ring = parse_ring(spec)
         rows = table[spec] = {}
-        for n in sizes:
-            rng = random.Random(f"{args.seed}:{spec}:{n}")
+        for n in SIZES:
+            rng = random.Random(f"{SEED}:{spec}:{n}")
             for op, (fn, xs) in _inputs(ring, n, rng).items():
-                rows.setdefault(op, {})[n] = _median_ms(fn, xs, args.budget)
-    print(json.dumps({"seed": args.seed, "budget_s": args.budget,
+                rows.setdefault(op, {})[n] = _median_ms(fn, xs)
+    print(json.dumps({"seed": SEED, "budget_s": BUDGET,
                       "python": platform.python_version(), "ms_per_call": table}))
     return 0
 
