@@ -31,10 +31,12 @@ in, one lift out.  The tail reduction (_dvr_reduce) and the digit sweep
 run on the lists, each elementary substitution t -> t + a*t^r is one
 binomial pass (series._substitute_plain), and digit j of t^i is read as
 cs[i] // p^j % p, with no RingElem arithmetic in between.
-Over the fields canonicalize_char0 composes series, and compose runs
-each of its substitutions t - c*t^r on the same kernel over Q and F_p;
-over the graded fields, whose coefficients are not single scalars, it
-runs compose's one loop on RingElem values.
+Over F_p canonicalize_char0 runs the same residue loop (_tail_passes)
+at K = 1, where every valuation is zero and there is no top digit to
+gauge, again with one conversion in and one lift out.  Over Q and the
+graded fields it composes series (_reduce_tail): compose runs each
+t - c*t^r as one binomial pass over Q, on numerators over one common
+denominator, and as its one loop on RingElem values over [v].
 
 Over Z/p^K[v] (|v| = 2) the orbits are graded: a degree-homogeneous
 datum is u(t) = v^-1 * ubar(v^e * t) with ubar over Z/p^K, a degree-0
@@ -321,9 +323,16 @@ def canonicalize_char0(u: PowerSeries) -> CanonicalForm:
     substitution t - t^(k-(n-1)) * u_k/(n*u_n); each pass strictly
     raises that index, so the loop clears everything up to the
     truncation.  Returns u_n * t^n with the accumulated witness.
+    Over F_p the passes run on residue lists (_tail_passes at K = 1,
+    without _dvr_reduce's top-digit gauge); over Q and the graded
+    fields they compose series (_reduce_tail).
     """
     n = _field_anchor(u)
-    cur, wit = _reduce_tail(u, ps_t(u.ring, u.trunc), n)
+    ring, N = u.ring, u.trunc
+    if ring.mode == "Fp" and not ring.laurent:
+        cs, ws = _tail_passes(_residues(u), [0, 1], n, ring.p, ring.modulus, 1, N)
+        return CanonicalForm("graded_field", n, _lifted(ring, cs, 1, N), _lifted(ring, ws, 1, N))
+    cur, wit = _reduce_tail(u, ps_t(ring, N), n)
     return CanonicalForm("graded_field", n, cur, wit)
 
 
@@ -436,7 +445,10 @@ def _canonicalize_graded(u):
 def _reduce_tail(cur, wit, k):
     # compose with t - c*t^(s-k+1) until nothing is left above the anchor
     # k, removing the lowest tail exponent s first; below k every
-    # coefficient is zero, so no such substitution changes u_k
+    # coefficient is zero, so no such substitution changes u_k.  Only Q
+    # and the graded fields come here (F_p takes _tail_passes).  Q moves
+    # to lists once the benchmark's span test has a vehicle other than
+    # canonicalize_char0 that keeps calling compose (ROADMAP item 1).
     ring = cur.ring
     inv = cur.coeffs[k].scaled(k).inverse()
     while True:
@@ -467,21 +479,43 @@ def _dvr_reduce(cs, ws, k, ring, n):
     """The Z/p^K tail reduction and top-digit gauge, on residue lists.
 
     cs and ws hold form and witness (cs[i] at t^i, residues mod p^K),
-    both known through t^n.  Removes the tail term of least valuation,
-    then lowest exponent s, by t -> t - c*t^(s-k+1) until nothing is
-    left above the anchor k, then zeroes the top base-p digit of the
-    leading unit coefficient by the rescale t -> (1 + gamma*p^(K-1))*t.
-    Returns the new lists, still known through n.  ws=None reduces the
-    form alone.
+    both known through t^n.  Runs _tail_passes, then zeroes the top
+    base-p digit of the leading unit coefficient by the rescale
+    t -> (1 + gamma*p^(K-1))*t.  Returns the new lists, still known
+    through n.  ws=None reduces the form alone.  F_p calls the passes
+    alone (canonicalize_char0); Q and [v] never come here.
     """
     p, K, mod = ring.p, ring.K, ring.modulus
+    cs, ws = _tail_passes(cs, ws, k, p, mod, K, n)
+    top = cs[k] // p ** (K - 1)
+    if top:
+        gamma = (-top * pow(k * (cs[k] % p), -1, p)) % p
+        g = 1 + gamma * p ** (K - 1)
+        cs = [c * pow(g, i, mod) % mod for i, c in enumerate(cs)]
+        if ws is not None:
+            ws = [c * pow(g, i, mod) % mod for i, c in enumerate(ws)]
+    return cs, ws
+
+
+def _tail_passes(cs, ws, k, p, mod, K, n):
+    """The residue loop of the tail reduction over Z/p^K and F_p.
+
+    cs and ws are lists of residues mod mod = p^K (K = 1 for F_p), known
+    through t^n, as in _dvr_reduce.  Removes the tail term of least
+    valuation, then lowest exponent s, by t -> t - c*t^(s-k+1) until
+    nothing is left above the anchor k; over F_p every valuation is 0,
+    so the lowest exponent goes first, as in the field reduction.
+    _dvr_reduce (Z/p^K) follows this with its top-digit gauge;
+    canonicalize_char0 (F_p) takes the result as it is.  Q and the
+    graded fields compose series instead (_reduce_tail).
+    """
     # with non-units below the anchor, each pass strictly raises the least
     # (valuation, exponent) of the tail, which takes at most K*(n - k) values
     passes = K * max(n - k, 0)
     for _ in range(passes + 1):
         tail = [i for i in range(k + 1, len(cs)) if cs[i]]
         if not tail:
-            break
+            return cs, ws
         if n == EXACT:
             raise PrecisionError(
                 "reduction of an exact series does not terminate; truncate the input"
@@ -491,16 +525,7 @@ def _dvr_reduce(cs, ws, k, ring, n):
         cs = _substitute_plain(cs, a, s - (k - 1), n, mod)
         if ws is not None:
             ws = _substitute_plain(ws, a, s - (k - 1), n, mod)
-    else:
-        raise InternalError(f"tail reduction above t^{k} did not end in {passes} passes")
-    top = cs[k] // p ** (K - 1)
-    if top:
-        gamma = (-top * pow(k * (cs[k] % p), -1, p)) % p
-        g = 1 + gamma * p ** (K - 1)
-        cs = [c * pow(g, i, mod) % mod for i, c in enumerate(cs)]
-        if ws is not None:
-            ws = [c * pow(g, i, mod) % mod for i, c in enumerate(ws)]
-    return cs, ws
+    raise InternalError(f"tail reduction above t^{k} did not end in {passes} passes")
 
 
 def _unit_response(cs, k, ring, n, m, jm, positions):

@@ -59,6 +59,7 @@ from util import (
     agree_derivation,
     digit_sweep_by_probes,
     dvr_reduce_by_compose,
+    field_reduce_by_compose,
     ps_zero,
     rand_series,
 )
@@ -514,6 +515,39 @@ class TestCanonicalizeChar0:
             assert cf.n == n
             assert cf.form.coeffs == {n: u.coeffs[n]}
             assert compose(u, cf.witness) == cf.form
+
+    PRIMES = (3, 5, 7, 11, 13, 2**61 - 1)
+
+    def test_prime_fields_match_the_composing_reference(self):
+        # heights 1-5, N 3-21, dense, sparse and empty tails, finite and
+        # EXACT bounds; an EXACT bound with a tail must raise
+        rng = random.Random(2203)
+        for p in self.PRIMES:
+            ring = CoeffRing("Fp", p)
+            for draw in range(24):
+                k = rng.choice([h for h in range(1, 6) if h % p])
+                N = rng.randint(max(3, k), 21)
+                coeffs = {k: rng.randrange(1, p)}
+                if draw % 4:
+                    share = (0.3, 0.7, 1.0)[draw % 3]
+                    coeffs.update(
+                        {i: rng.randrange(p) for i in range(k + 1, N + 1) if rng.random() < share}
+                    )
+                u = S(ring, coeffs, EXACT if draw % 5 == 0 else N)
+                if u.trunc == EXACT and set(u.coeffs) != {k}:
+                    with pytest.raises(PrecisionError):
+                        canonicalize_char0(u)
+                    continue
+                cf = canonicalize_char0(u)
+                form, wit = field_reduce_by_compose(u, k)
+                assert cf.kind == "graded_field" and cf.n == k
+                assert _residue_table(cf.form) == _residue_table(form)
+                assert _residue_table(cf.witness) == _residue_table(wit)
+                assert cf.form.coeffs == {k: u.coeffs[k]}
+                assert compose(u, cf.witness) == cf.form
+            for wild in range(p, 16, p):
+                with pytest.raises(WildCaseError):
+                    canonicalize_char0(S(ring, {wild: 1, wild + 1: 1}, wild + 3))
 
     def test_exact_with_tail(self):
         with pytest.raises(PrecisionError):

@@ -291,6 +291,33 @@ def dvr_reduce_by_compose(cur, wit, k):
     return cur, wit
 
 
+def field_reduce_by_compose(u, k):
+    """Tail reduction over a field, one composition per step.
+
+    The reference for moorealg.moduli.canonicalize_char0, which runs the
+    passes on residue lists over F_p: compose u and the witness t (known
+    through u's bound) with t - c*t^(s-k+1), removing the lowest tail
+    exponent s, until nothing is left above the height k.  RingElem
+    arithmetic and compose_by_powers throughout, never the binomial
+    kernel or residue lists.  Returns (form, witness).
+    """
+    ring = u.ring
+    cur, wit = u, ps_t(ring, u.trunc)
+    inv = u.coeffs[k].scaled(k).inverse()
+    while True:
+        tail = [i for i in cur.coeffs if i > k]
+        if not tail:
+            return cur, wit
+        if cur.trunc == EXACT:
+            raise PrecisionError(
+                "reduction of an exact series does not terminate; truncate the input"
+            )
+        s = min(tail)
+        h = PowerSeries(ring, {1: ring.one(), s - (k - 1): -(cur.coeffs[s] * inv)}, EXACT)
+        cur = compose_by_powers(cur, h)
+        wit = compose_by_powers(wit, h)
+
+
 def digit_sweep_by_probes(cur, wit, k):
     """Digit sweep that tries every window move t + d*p^jm*t^m in turn.
 

@@ -1,4 +1,5 @@
-"""Per-call times of the series layer: reversion, compose, * and reciprocal.
+"""Per-call times of the series layer (reversion, compose, *, reciprocal)
+and of the field tail reduction that runs on it (canonicalize_char0).
 
     python3 tools/layer_times.py
 
@@ -6,8 +7,10 @@ Runs on the moorealg of the tree it sits in (its src/ comes first on the
 path), so a copy of each revision times itself.  For every ring and
 truncation N in RINGS and SIZES the inputs are drawn once from SEED: a dense
 unit-linear f to revert, a dense f and a dense unit-linear g for
-compose(f, g), two dense series of order 0 for *, and one with a unit
-constant term for reciprocal.  Every coefficient through t^N is a
+compose(f, g), two dense series of order 0 for *, one with a unit
+constant term for reciprocal and, over the fields, one of height 2 for
+canonicalize_char0, whose tail reduction then takes up to one substitution
+per exponent 3..N.  Every coefficient through t^N is a
 nonzero scalar drawn by moorealg._draws, a unit at t^0 and t^1; over [v]
 the coefficient of t^i is that scalar times v^(i-1), so the data are
 homogeneous, as graded data are, and every value stays one monomial.
@@ -34,6 +37,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from moorealg._draws import rand_scalar  # noqa: E402
+from moorealg.moduli import canonicalize_char0  # noqa: E402
 from moorealg.rings import parse_ring  # noqa: E402
 from moorealg.series import PowerSeries, compose, reciprocal, reversion  # noqa: E402
 
@@ -56,12 +60,15 @@ def _dense(ring, rng, n: int, lo: int) -> PowerSeries:
 
 def _inputs(ring, n: int, rng) -> dict:
     """The calls to time at truncation n: name -> (function, arguments)."""
-    return {
+    calls = {
         "reversion": (reversion, (_dense(ring, rng, n, 1),)),
         "compose": (compose, (_dense(ring, rng, n, 1), _dense(ring, rng, n, 1))),
         "mul": (PowerSeries.__mul__, (_dense(ring, rng, n, 0), _dense(ring, rng, n, 0))),
         "reciprocal": (reciprocal, (_dense(ring, rng, n, 0),)),
     }
+    if ring.is_field:
+        calls["canonicalize_char0"] = (canonicalize_char0, (_dense(ring, rng, n, 2),))
+    return calls
 
 
 def _median_ms(fn, args) -> float:
