@@ -448,7 +448,7 @@ def _reduce_tail(cur, wit, k):
     # coefficient is zero, so no such substitution changes u_k.  Only Q
     # and the graded fields come here (F_p takes _tail_passes).  Q moves
     # to lists once the benchmark's span test has a vehicle other than
-    # canonicalize_char0 that keeps calling compose (ROADMAP item 1).
+    # canonicalize_char0 that keeps calling compose.
     ring = cur.ring
     inv = cur.coeffs[k].scaled(k).inverse()
     while True:
@@ -482,8 +482,9 @@ def _dvr_reduce(cs, ws, k, ring, n):
     both known through t^n.  Runs _tail_passes, then zeroes the top
     base-p digit of the leading unit coefficient by the rescale
     t -> (1 + gamma*p^(K-1))*t.  Returns the new lists, still known
-    through n.  ws=None reduces the form alone.  F_p calls the passes
-    alone (canonicalize_char0); Q and [v] never come here.
+    through n.  ws=None reduces the form alone.  Over F_p
+    canonicalize_char0 runs the passes alone; Q and the graded fields
+    compose series instead.
     """
     p, K, mod = ring.p, ring.K, ring.modulus
     cs, ws = _tail_passes(cs, ws, k, p, mod, K, n)
