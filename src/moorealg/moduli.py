@@ -23,7 +23,10 @@ The sweep does not search for its moves.  Re-reduced, a window move
 t + d*p^jm*t^m changes the digits up to the level it acts on by d times
 what its unit move (d = 1) changes, mod p, so one form-only probe per
 window slot and level predicts the single clearing move, which is then
-applied to form and witness and verified like a search result.
+applied to form and witness and verified like a search result.  Most
+probes are not even made: a valuation bound proves that the move cannot
+reach the digit at all (see _digit_sweep).  At N = 10 it rules out
+every window move for anchor 2 when K < 10 and for anchor 3 when K < 5.
 
 canonicalize_dvr keeps form and witness as lists of residues mod p^K
 from the anchor check to the final is_canonical check: one conversion
@@ -466,15 +469,6 @@ def _reduce_tail(cur, wit, k):
         wit = compose(wit, h)
 
 
-def _valuation(c: int, p: int) -> int:
-    # c nonzero
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
 def _dvr_reduce(cs, ws, k, ring, n):
     """The Z/p^K tail reduction and top-digit gauge, on residue lists.
 
@@ -504,8 +498,11 @@ def _tail_passes(cs, ws, k, p, mod, K, n):
     cs and ws are lists of residues mod mod = p^K (K = 1 for F_p), known
     through t^n, as in _dvr_reduce.  Removes the tail term of least
     valuation, then lowest exponent s, by t -> t - c*t^(s-k+1) until
-    nothing is left above the anchor k; over F_p every valuation is 0,
-    so the lowest exponent goes first, as in the field reduction.
+    nothing is left above the anchor k.  Each pass finds s by a level
+    scan: for q = p, p^2, ..., p^K the first q with a tail entry not
+    divisible by q is p^(v+1) for the least valuation v, and the first
+    such entry is s.  Over F_p (K = 1) that is the first nonzero tail
+    entry, the lowest exponent, as in the field reduction.
     _dvr_reduce (Z/p^K) follows this with its top-digit gauge;
     canonicalize_char0 (F_p) takes the result as it is.  Q and the
     graded fields compose series instead (_reduce_tail).
@@ -513,15 +510,15 @@ def _tail_passes(cs, ws, k, p, mod, K, n):
     # with non-units below the anchor, each pass strictly raises the least
     # (valuation, exponent) of the tail, which takes at most K*(n - k) values
     passes = K * max(n - k, 0)
+    levels = [p**j for j in range(1, K + 1)]
     for _ in range(passes + 1):
-        tail = [i for i in range(k + 1, len(cs)) if cs[i]]
-        if not tail:
+        s = next((i for q in levels for i in range(k + 1, len(cs)) if cs[i] % q), None)
+        if s is None:
             return cs, ws
         if n == EXACT:
             raise PrecisionError(
                 "reduction of an exact series does not terminate; truncate the input"
             )
-        s = min(tail, key=lambda i: (_valuation(cs[i], p), i))
         a = -cs[s] * pow(k * cs[k], -1, mod) % mod
         cs = _substitute_plain(cs, a, s - (k - 1), n, mod)
         if ws is not None:
@@ -561,7 +558,15 @@ def _digit_sweep(cs, ws, k, ring, n, source):
     move (d = 1), mod p, so for one (m, jm) either no d keeps the
     earlier digits or all do, and exactly d = -digit / v clears the
     digit when the unit move changes it by v != 0.  The unit responses
-    are computed once per (m, jm, level) on the form alone.  The chosen
+    are computed once per (m, jm, level) on the form alone, and only for
+    the moves that can reach the digit: the move (m, jm) is skipped for
+    digit (j, i) when jm + 1 + ceil((m - i)/(k - 1)) > j.  Invariant:
+    valuation + index/(k - 1) of what the move and the re-reduction
+    passes change never falls below jm + 1 + m/(k - 1), since below the
+    anchor every valuation is >= 1 and above it nothing is left.  So the
+    change at t^i is divisible by p^(j+1), the top-digit gauge (which
+    only touches digit (K-1, k)) stays off, the unit response at (j, i)
+    is 0 and the probe could not have chosen the move.  The chosen
     move is then applied to form and witness and must pass the test a
     search would apply (digit cleared, earlier digits kept); a failure
     raises InternalError naming source, the series being canonicalized.
@@ -580,6 +585,9 @@ def _digit_sweep(cs, ws, k, ring, n, source):
         if dig == 0:
             continue
         for m, jm in product(free, range(j)):
+            if jm + 1 - (i - m) // (k - 1) > j:
+                # the bound: this move cannot reach digit (j, i), so v[idx] = 0
+                continue
             v = responses.get((m, jm, j))
             if v is None:
                 # one entry per position up to level j; v[idx] is this digit

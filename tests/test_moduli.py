@@ -953,6 +953,65 @@ class TestDigitSweep:
         for x, outcome in zip(inputs, got):
             assert outcome == _canonical_outcome(x), format_series(x)
 
+    def test_skipped_moves_do_not_reach_their_digit(self):
+        # the sweep skips window move (m, jm) for digit (j, i) when
+        # jm + 1 + ceil((m - i)/(k - 1)) > j; on reduced forms over five
+        # rings, N 4..14 and every anchor, the skipped unit responses are 0
+        rng = random.Random(2323)
+        skipped = probed = nonzero = 0
+        for p, K in ((2, 3), (3, 3), (5, 3), (7, 4), (5, 6)):
+            ring = CoeffRing("Zp", p, K)
+            for N in range(4, 15):
+                for k in range(2, N + 1):
+                    if k % p == 0:
+                        continue
+                    u, f = _anchored_input(rng, p, K, k, N)
+                    cs, _ = moduli._dvr_reduce(_residues(compose(u, f)), None, k, ring, N)
+                    positions = [(j, i) for j in range(1, K) for i in range(2, k + 1)]
+                    for m in range(max(N - k + 2, 2), N + 1):
+                        for jm in range(K - 1):
+                            v = moduli._unit_response(cs, k, ring, N, m, jm, positions)
+                            for (j, i), x in zip(positions, v):
+                                if jm >= j:
+                                    continue
+                                if jm + 1 + -((i - m) // (k - 1)) > j:
+                                    skipped += 1
+                                    assert x == 0, (p, K, N, k, m, jm, j, i)
+                                else:
+                                    probed += 1
+                                    nonzero += x != 0
+        assert skipped and probed and nonzero
+
+    def test_probe_counts(self, monkeypatch):
+        # the bound proves every probe null on dvr_orbits-shaped inputs
+        # (Z/7^4, N = 10, anchor 2); on the input that test_cli and CI pin
+        # probes survive and the sweep still applies its 7 moves
+        calls = {"probes": 0, "moves": 0}
+        library_response, library_reduce = moduli._unit_response, moduli._dvr_reduce
+
+        def response(*args):
+            calls["probes"] += 1
+            return library_response(*args)
+
+        def reduce(cs, ws, k, ring, n):
+            calls["moves"] += ws is not None
+            return library_reduce(cs, ws, k, ring, n)
+
+        monkeypatch.setattr(moduli, "_unit_response", response)
+        monkeypatch.setattr(moduli, "_dvr_reduce", reduce)
+        rng = random.Random(7410)
+        for _ in range(20):
+            u, f = _anchored_input(rng, 7, 4, 2, 10)
+            canonicalize_dvr(u)
+            canonicalize_dvr(compose(u, f))
+        assert calls["probes"] == 0
+        calls.update(probes=0, moves=0)
+        coeffs = {1: 15, 2: 14560, 3: 6015, 4: 4174, 5: 65, 7: 6683, 9: 12958}
+        canonicalize_dvr(S(Z56, coeffs, 10))
+        assert calls["probes"] > 0
+        # the main reduction and 7 applied moves
+        assert calls["moves"] == 8
+
     def test_wrong_prediction_raises(self, monkeypatch):
         # a corrupted unit response predicts a d that does not clear the digit
         true_response = moduli._unit_response

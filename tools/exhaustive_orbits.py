@@ -10,9 +10,12 @@ asserts that the outcome is constant on every orbit, that no two orbits
 share a form and that each form lies in its own orbit.  The trivial
 branch of canonicalize_dvr inverts its substitutions by
 series.reversion.  The cases list 118 098 to 262 144 series and take
-16-41 s each on a shared 2-core x86 machine, so this is opt-in and lives
-outside the test paths.  Prints one JSON line per case and exits 1 if a
-check fails.  Needs pytest importable (the test module imports it).
+14-41 s each on a shared 2-core x86 machine, too slow for the test
+suite, so they live outside the test paths and run as their own step of
+the tier1 CI job (Python 3.11 only).  They are the only check over whole
+rings of the digit sweep, including the window moves its valuation bound
+skips.  Prints one JSON line per case and exits 1 if a check fails.
+Needs pytest importable (the test module imports it).
 """
 
 from __future__ import annotations
