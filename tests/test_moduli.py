@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import ceil, comb, gcd
 
 import pytest
 
@@ -974,7 +974,7 @@ class TestDigitSweep:
                             for (j, i), x in zip(positions, v):
                                 if jm >= j:
                                     continue
-                                if jm + 1 + -((i - m) // (k - 1)) > j:
+                                if jm + 1 + ceil(Fr(m - i, k - 1)) > j:
                                     skipped += 1
                                     assert x == 0, (p, K, N, k, m, jm, j, i)
                                 else:
@@ -984,33 +984,26 @@ class TestDigitSweep:
 
     def test_probe_counts(self, monkeypatch):
         # the bound proves every probe null on dvr_orbits-shaped inputs
-        # (Z/7^4, N = 10, anchor 2); on the input that test_cli and CI pin
-        # probes survive and the sweep still applies its 7 moves
-        calls = {"probes": 0, "moves": 0}
-        library_response, library_reduce = moduli._unit_response, moduli._dvr_reduce
+        # (Z/7^4, N = 10, anchor 2); on the input that test_cli and CI pin,
+        # where test_one_conversion_in_one_out counts 7 applied moves,
+        # probes survive
+        probes = []
+        library_response = moduli._unit_response
 
         def response(*args):
-            calls["probes"] += 1
+            probes.append(args)
             return library_response(*args)
 
-        def reduce(cs, ws, k, ring, n):
-            calls["moves"] += ws is not None
-            return library_reduce(cs, ws, k, ring, n)
-
         monkeypatch.setattr(moduli, "_unit_response", response)
-        monkeypatch.setattr(moduli, "_dvr_reduce", reduce)
         rng = random.Random(7410)
         for _ in range(20):
             u, f = _anchored_input(rng, 7, 4, 2, 10)
             canonicalize_dvr(u)
             canonicalize_dvr(compose(u, f))
-        assert calls["probes"] == 0
-        calls.update(probes=0, moves=0)
+        assert not probes
         coeffs = {1: 15, 2: 14560, 3: 6015, 4: 4174, 5: 65, 7: 6683, 9: 12958}
         canonicalize_dvr(S(Z56, coeffs, 10))
-        assert calls["probes"] > 0
-        # the main reduction and 7 applied moves
-        assert calls["moves"] == 8
+        assert probes
 
     def test_wrong_prediction_raises(self, monkeypatch):
         # a corrupted unit response predicts a d that does not clear the digit

@@ -1,5 +1,6 @@
 """Per-call times of the series layer (reversion, compose, *, reciprocal)
-and of the field tail reduction that runs on it (canonicalize_char0).
+and of the canonical forms that run on it (canonicalize_char0 over the
+fields, canonicalize_dvr over Z/p^K).
 
     python3 tools/layer_times.py
 
@@ -14,6 +15,11 @@ per exponent 3..N.  Every coefficient through t^N is a
 nonzero scalar drawn by moorealg._draws, a unit at t^0 and t^1; over [v]
 the coefficient of t^i is that scalar times v^(i-1), so the data are
 homogeneous, as graded data are, and every value stays one monomial.
+Over Z/p^K, at N <= 64, canonicalize_dvr gets a series anchored at t^k,
+k = N // 3 + 2: p times a unit at t^1..t^(k-1), a unit at t^k and a
+nonzero scalar at every tail slot.  Over Zp:5:3 the digit sweep's
+valuation bound rules out every window move when k < (N + 3)/3, so this
+is the smallest anchor for which the bound leaves some moves to probe.
 Each call is repeated until BUDGET seconds have passed, and at least
 three times; the median is reported.  Over Q at N = 128 the dense inputs
 make one reversion take about 30 s, nearly all of it the composition that
@@ -37,7 +43,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from moorealg._draws import rand_scalar  # noqa: E402
-from moorealg.moduli import canonicalize_char0  # noqa: E402
+from moorealg.moduli import canonicalize_char0, canonicalize_dvr  # noqa: E402
 from moorealg.rings import parse_ring  # noqa: E402
 from moorealg.series import PowerSeries, compose, reciprocal, reversion  # noqa: E402
 
@@ -58,6 +64,18 @@ def _dense(ring, rng, n: int, lo: int) -> PowerSeries:
     return PowerSeries(ring, coeffs, n)
 
 
+def _anchored(ring, rng, n: int, k: int) -> PowerSeries:
+    """A dense series over Z/p^K anchored at t^k; see the module doc."""
+    pi = ring.uniformizer()
+    coeffs = {}
+    for i in range(1, n + 1):
+        c = rand_scalar(ring, rng, nonzero=True)
+        while i <= k and not c.is_unit():
+            c = rand_scalar(ring, rng, nonzero=True)
+        coeffs[i] = c * pi if i < k else c
+    return PowerSeries(ring, coeffs, n)
+
+
 def _inputs(ring, n: int, rng) -> dict:
     """The calls to time at truncation n: name -> (function, arguments)."""
     calls = {
@@ -68,6 +86,8 @@ def _inputs(ring, n: int, rng) -> dict:
     }
     if ring.is_field:
         calls["canonicalize_char0"] = (canonicalize_char0, (_dense(ring, rng, n, 2),))
+    if ring.mode == "Zp" and n <= 64:
+        calls["canonicalize_dvr"] = (canonicalize_dvr, (_anchored(ring, rng, n, n // 3 + 2),))
     return calls
 
 
