@@ -32,8 +32,11 @@ canonicalize_dvr keeps form and witness as lists of residues mod p^K
 from the anchor check to the final is_canonical check: one conversion
 in, one lift out.  The tail reduction (_dvr_reduce) and the digit sweep
 run on the lists, each elementary substitution t -> t + a*t^r is one
-binomial pass (series._substitute_plain), and digit j of t^i is read as
-cs[i] // p^j % p, with no RingElem arithmetic in between.
+binomial pass (series._substitute_plain) that moves form and witness
+together, and digit j of t^i is read as cs[i] // p^j % p, with no
+RingElem arithmetic in between.  The rescale of the linear slot before
+the anchor check composes with a one-term r^-1 * t, which compose runs
+as one scaling pass.
 Over F_p canonicalize_char0 runs the same residue loop (_tail_passes)
 at K = 1, where every valuation is zero and there is no top digit to
 gauge, again with one conversion in and one lift out.  Over Q and the
@@ -476,7 +479,9 @@ def _dvr_reduce(cs, ws, k, ring, n):
     both known through t^n.  Runs _tail_passes, then zeroes the top
     base-p digit of the leading unit coefficient by the rescale
     t -> (1 + gamma*p^(K-1))*t.  Returns the new lists, still known
-    through n.  ws=None reduces the form alone.  Over F_p
+    through n; either may carry trailing zeros.  ws=None reduces the
+    form alone; otherwise every pass moves form and witness in one
+    binomial pass.  Over F_p
     canonicalize_char0 runs the passes alone; Q and the graded fields
     compose series instead.
     """
@@ -502,7 +507,11 @@ def _tail_passes(cs, ws, k, p, mod, K, n):
     scan: for q = p, p^2, ..., p^K the first q with a tail entry not
     divisible by q is p^(v+1) for the least valuation v, and the first
     such entry is s.  Over F_p (K = 1) that is the first nonzero tail
-    entry, the lowest exponent, as in the field reduction.
+    entry, the lowest exponent, as in the field reduction.  Each pass is
+    one call of the binomial kernel, with the witness passed alongside
+    the form when ws is given, so each factor C(i, j)*a^j is computed
+    once for both; the two lists come back the same length, the shorter
+    one padded with zeros.
     _dvr_reduce (Z/p^K) follows this with its top-digit gauge;
     canonicalize_char0 (F_p) takes the result as it is.  Q and the
     graded fields compose series instead (_reduce_tail).
@@ -520,9 +529,10 @@ def _tail_passes(cs, ws, k, p, mod, K, n):
                 "reduction of an exact series does not terminate; truncate the input"
             )
         a = -cs[s] * pow(k * cs[k], -1, mod) % mod
-        cs = _substitute_plain(cs, a, s - (k - 1), n, mod)
-        if ws is not None:
-            ws = _substitute_plain(ws, a, s - (k - 1), n, mod)
+        if ws is None:
+            cs = _substitute_plain(cs, a, s - (k - 1), n, mod)
+        else:
+            cs, ws = _substitute_plain(cs, a, s - (k - 1), n, mod, w=ws)
     raise InternalError(f"tail reduction above t^{k} did not end in {passes} passes")
 
 
@@ -600,9 +610,7 @@ def _digit_sweep(cs, ws, k, ring, n, source):
         d = (-dig * pow(v[idx], -1, p)) % p
         prefix = [cs[ii] // p**jj % p for jj, ii in positions[:idx]]
         a = d * p**jm
-        c2, w2 = _dvr_reduce(
-            _substitute_plain(cs, a, m, n, mod), _substitute_plain(ws, a, m, n, mod), k, ring, n
-        )
+        c2, w2 = _dvr_reduce(*_substitute_plain(cs, a, m, n, mod, w=ws), k, ring, n)
         if c2[i] // p**j % p or [c2[ii] // p**jj % p for jj, ii in positions[:idx]] != prefix:
             raise InternalError(
                 f"digit sweep move failed to verify: {format_series(source)}, "

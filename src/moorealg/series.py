@@ -23,7 +23,10 @@ s + p and s * p mean the right thing for each.  On the plain rings
 compose runs an elementary substitution t + a*t^r as one binomial pass
 over a dense list (_substitute_plain), so the field canonical forms,
 which compose with t - c*t^r, run on it, and the Z/p^K reduction in
-moduli calls it on its residue lists directly.
+moduli calls it on its residue lists directly, moving form and witness
+in the same pass: each factor C(i, j)*a^j is computed once and added
+into both lists.  A one-term g = c*t is one scaling pass on the plain
+rings, f_i*c^i at t^i (_rescaled), in place of the power loop.
 
 This module owns the one precision model of the package; the word
 series (truncated by length) and the bar-side cochains (by arity) use
@@ -277,38 +280,64 @@ def _residues(f: PowerSeries) -> list:
     return out
 
 
-def _substitute_plain(f: list, a: int, r: int, n: int, m, d: int = 1) -> list:
+def _substitute_plain(f: list, a: int, r: int, n: int, m, d: int = 1, w=None):
     """f(t + (a/d)*t^r) through t^n, for r >= 2 and f a list of integers.
 
-    f[i] is the coefficient of t^i: a residue mod m over F_p and Z/p^K,
-    where d is 1, or over Q (m None) a numerator over a denominator the
-    caller keeps.  By the binomial theorem f_i*t^i sends
+    f[i] is the coefficient of t^i: a residue in [0, m) over F_p and
+    Z/p^K, where d is 1, or over Q (m None) a numerator over a
+    denominator the caller keeps.  By the binomial theorem f_i*t^i sends
     f_i*C(i, j)*(a/d)^j to t^(i + j*(r-1)), so one pass over (j, i)
     replaces the powers of t + a*t^r that compose builds.  Returns the
     entries through min(n, (len(f) - 1)*r), where compose's loop also
     stops; with J = (length - 1) // r the last j that reaches them, row j
     is scaled by a^j*d^(J-j), so the result is over d^J times f's
-    denominator.
+    denominator.  The rows stop once a^j is zero, as it is for j*v(a) >=
+    K over Z/p^K, and on residues only the entries from t^r up, which the
+    rows reach, are reduced.
+
+    Given a second list w like f, the one pass moves both, each factor
+    C(i, j)*a^j added into both, and returns (f moved, w moved); the
+    shorter list is read with zeros past its end, so both results run
+    through the longer list's bound, the same values with trailing zeros.
     """
-    step = r - 1
-    cap = min(n, (len(f) - 1) * r)
+    pair = w is not None
+    size = max(len(f), len(w)) if pair else len(f)
+    cap = min(n, (size - 1) * r)
     rows = max(cap, 0) // r  # J: i >= j puts a^j at t^(j*r) or later
-    out = f[: cap + 1]
+    if pair:
+        f = f + [0] * (size - len(f))
+        w = w + [0] * (size - len(w))
+    pad = [0] * (cap + 1 - min(size, cap + 1))
+    out = f[: cap + 1] + pad
+    wout = w[: cap + 1] + pad if pair else None
     if d != 1:
-        out = [c * d**rows for c in out]
-    out += [0] * (cap + 1 - len(out))
+        scale = d**rows
+        out = [c * scale for c in out]
+        if pair:
+            wout = [c * scale for c in wout]
+    step = r - 1
     aj = 1
     for j in range(1, rows + 1):
         aj = aj * a if m is None else aj * a % m
+        if not aj:
+            break
         shift = j * step
         b = aj if d == 1 else aj * d ** (rows - j)  # C(i, j) * row j's scale
-        for i in range(j, min(len(f), cap - shift + 1)):
+        for i in range(j, min(size, cap - shift + 1)):
             if i > j:
                 b = b * i // (i - j)
             c = f[i]
             if c:
                 out[i + shift] += c * b
-    return out if m is None else [x % m for x in out]
+            if pair:
+                c = w[i]
+                if c:
+                    wout[i + shift] += c * b
+    if m is not None:
+        out[r:] = [x % m for x in out[r:]]
+        if pair:
+            wout[r:] = [x % m for x in wout[r:]]
+    return (out, wout) if pair else out
 
 
 def _substituted(f: PowerSeries, a, r: int, n: int) -> PowerSeries:
@@ -328,6 +357,27 @@ def _substituted(f: PowerSeries, a, r: int, n: int) -> PowerSeries:
     return _lifted(f.ring, out, den * a.denominator ** (max(len(out) - 1, 0) // r), n)
 
 
+def _rescaled(f: PowerSeries, c, n: int) -> PowerSeries:
+    """f(c*t) through n, one scaling pass: f_i*c^i at t^i.
+
+    c is the base scalar: a residue, or a Fraction C/D over Q, where f
+    becomes numerators F_i over its least common denominator e and
+    f_i*c^i = F_i*C^i*D^(top-i) / (e*D^top), top the last exponent kept.
+    """
+    m = f.ring.modulus
+    pairs, den = _integers(f, n, True, m)
+    top = pairs[-1][0] if pairs else 0
+    acc = [0] * (top + 1)
+    if m is not None:
+        for i, x in pairs:
+            acc[i] = x * pow(c, i, m)
+        return _lifted(f.ring, acc, 1, n)
+    num, dc = c.numerator, c.denominator
+    for i, x in pairs:
+        acc[i] = x * num**i * dc ** (top - i)
+    return _lifted(f.ring, acc, den * dc**top, n)
+
+
 def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Substitute g into f.  Needs g(0) = 0.
 
@@ -341,8 +391,10 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     multiplied by, so an elementary substitution t + c*t^s costs one
     multiplication per binomial term of each power.  On the plain rings
     an elementary substitution g = t + a*t^r (two terms, the one at t
-    equal to one) is instead one binomial pass, _substituted.  Each row
-    stops at the bound, and no intermediate series is built.
+    equal to one) is instead one binomial pass, _substituted, and a
+    one-term g = c*t one scaling pass, _rescaled, that multiplies f_i by
+    c^i.  Each row stops at the bound, and no intermediate series is
+    built.
     """
     f._check(g)
     if 0 in g.coeffs:
@@ -358,6 +410,8 @@ def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     if plain and len(gs) == 2 and 1 in gs and gs[1].terms[0] == 1:
         r = max(gs)
         return _substituted(f, gs[r].terms[0], r, n)
+    if plain and len(gs) == 1 and 1 in gs:
+        return _rescaled(f, gs[1].terms[0], n)
     top = f.degree() or 0  # None for f = 0
     # no exponent past deg f * deg g arises, even when n is EXACT
     cap = max(min(n, top * (g.degree() or 0)), 0)
