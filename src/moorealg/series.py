@@ -305,16 +305,21 @@ def _substitute_plain(f: list, a: int, r: int, n: int, m, d: int = 1, w=None):
     cap = min(n, (size - 1) * r)
     rows = max(cap, 0) // r  # J: i >= j puts a^j at t^(j*r) or later
     if pair:
-        f = f + [0] * (size - len(f))
-        w = w + [0] * (size - len(w))
-    pad = [0] * (cap + 1 - min(size, cap + 1))
-    out = f[: cap + 1] + pad
-    wout = w[: cap + 1] + pad if pair else None
+        if len(f) < size:
+            f = f + [0] * (size - len(f))
+        if len(w) < size:
+            w = w + [0] * (size - len(w))
+    out = f[: cap + 1]
+    wout = w[: cap + 1] if pair else None
     if d != 1:
         scale = d**rows
         out = [c * scale for c in out]
         if pair:
             wout = [c * scale for c in wout]
+    if len(out) <= cap:  # both lists have one length
+        out += [0] * (cap + 1 - len(out))
+        if pair:
+            wout += [0] * (cap + 1 - len(wout))
     step = r - 1
     aj = 1
     for j in range(1, rows + 1):
