@@ -362,6 +362,12 @@ class TestComposeOracle:
             a = ring.from_int(ring.p * rng.randrange(1, ring.p))
         else:
             a = cls._elem(ring, rng, nonzero=True)
+        # c*t takes compose's scaling pass on the plain rings: c = a as
+        # above, and a unit other than one
+        if ring.mode == "Zp":
+            unit = ring.from_int(rng.randrange(2, ring.p) + ring.p * rng.randrange(ring.p ** (ring.K - 1)))
+        else:
+            unit = ring.from_int(-2)
         return (
             PowerSeries(ring, {1: one, s: cls._elem(ring, rng, nonzero=True)}, n),
             PowerSeries(ring, {1: one, s: cls._elem(ring, rng)}, EXACT),
@@ -375,6 +381,10 @@ class TestComposeOracle:
             PowerSeries(ring, {1: one, rng.randint(2, 4): a}, n + 3),
             PowerSeries(ring, {1: one, n + 2: a}, EXACT),  # r past the bound
             PowerSeries(ring, {1: one, 2: a}, 2),  # known only through t^2
+            PowerSeries(ring, {1: a}, EXACT),
+            PowerSeries(ring, {1: unit}, EXACT),
+            PowerSeries(ring, {1: a}, max(1, n // 2)),  # below f's bound
+            PowerSeries(ring, {1: unit}, max(1, n // 2)),
         )
 
     @classmethod
@@ -400,26 +410,36 @@ class TestComposeOracle:
                         assert got.coeffs == want.coeffs, (format_series(f), format_series(g))
 
     def test_binomial_pass_only_for_t_plus_a_t_r_on_plain_rings(self, monkeypatch):
-        calls = []
-        kernel = series._substitute_plain
+        # and the scaling pass only for c*t
+        calls = {"_substitute_plain": 0, "_rescaled": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
+        def counted(name):
+            library = getattr(series, name)
 
-        monkeypatch.setattr(series, "_substitute_plain", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return library(*args)
+
+            monkeypatch.setattr(series, name, wrapper)
+
+        counted("_substitute_plain")
+        counted("_rescaled")
         for ring, plain in ((Q, True), (F7, True), (Z56, True), (QV, False), (F5V, False), (Z34V, False)):
             one, two = ring.one(), ring.from_int(2)
             f = PowerSeries(ring, {0: one, 2: two, 3: one, 6: two}, 9)
-            for g, binomial in (
-                (PowerSeries(ring, {1: one, 3: two}, EXACT), plain),
-                (PowerSeries(ring, {1: two, 3: two}, EXACT), False),
-                (PowerSeries(ring, {1: one, 2: one, 3: two}, EXACT), False),
-                (PowerSeries(ring, {1: one}, EXACT), False),
+            for g, binomial, scaling in (
+                (PowerSeries(ring, {1: one, 3: two}, EXACT), plain, False),
+                (PowerSeries(ring, {1: two, 3: two}, EXACT), False, False),
+                (PowerSeries(ring, {1: one, 2: one, 3: two}, EXACT), False, False),
+                (PowerSeries(ring, {1: one}, EXACT), False, plain),
+                (PowerSeries(ring, {1: two}, EXACT), False, plain),
             ):
-                calls.clear()
+                calls.update(dict.fromkeys(calls, 0))
                 got, want = compose(f, g), compose_by_powers(f, g)
-                assert bool(calls) is binomial, (ring.spec(), format_series(g))
+                assert calls == {"_substitute_plain": binomial, "_rescaled": scaling}, (
+                    ring.spec(),
+                    format_series(g),
+                )
                 assert got.trunc == want.trunc and got.coeffs == want.coeffs
 
     def test_nilpotent_leading_coefficient_empties_the_powers(self):
@@ -576,6 +596,29 @@ class TestSubstitutionKernel:
                 assert dict((i, x) for i, x in enumerate(got) if x) == {
                     i: c.terms[0] for i, c in want.coeffs.items()
                 }
+
+    def test_two_lists_move_as_each_alone(self):
+        # the Z/p^K reduction moves form and witness in one pass; each must
+        # come out as the one-list kernel moves it, up to trailing zeros
+        def stripped(xs):
+            return xs[: max((i + 1 for i, x in enumerate(xs) if x), default=0)]
+
+        rng = random.Random(2424)
+        for ring in self.RINGS:
+            p, K, m = ring.p, ring.K, ring.modulus
+            for _ in range(120):
+                n = rng.randint(0, 12)
+                f = [rng.randrange(m) for _ in range(rng.randint(0, n + 1))]
+                w = [rng.randrange(m) for _ in range(rng.choice((0, len(f) // 2, len(f) + 3)))]
+                unit = rng.randrange(1, p) + p * rng.randrange(m // p)
+                # p^(K-1)*unit squares to zero: every row past the first vanishes
+                a = rng.choice((0, unit, p * rng.randrange(m // p), p ** (K - 1) * unit % m))
+                r = rng.randint(2, 7)
+                got, wgot = series._substitute_plain(f, a, r, n, m, w=w)
+                assert len(got) == len(wgot)
+                assert all(type(x) is int and 0 <= x < m for x in got + wgot)
+                assert stripped(got) == stripped(series._substitute_plain(f, a, r, n, m))
+                assert stripped(wgot) == stripped(series._substitute_plain(w, a, r, n, m))
 
 
 class TestHeight:

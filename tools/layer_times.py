@@ -20,6 +20,10 @@ k = N // 3 + 2: p times a unit at t^1..t^(k-1), a unit at t^k and a
 nonzero scalar at every tail slot.  Over Zp:5:3 the digit sweep's
 valuation bound rules out every window move when k < (N + 3)/3, so this
 is the smallest anchor for which the bound leaves some moves to probe.
+Last, at every ring and N, compose_scale times compose(f, c*t) for a
+dense f and a unit c other than one, the rescale that canonicalize_dvr
+and act by a linear substitution make: one scaling pass on the rings
+without v, the power loop over [v].
 Each call is repeated until BUDGET seconds have passed, and at least
 three times; the median is reported.  Over Q at N = 128 the dense inputs
 make one reversion take about 30 s, nearly all of it the composition that
@@ -88,6 +92,10 @@ def _inputs(ring, n: int, rng) -> dict:
         calls["canonicalize_char0"] = (canonicalize_char0, (_dense(ring, rng, n, 2),))
     if ring.mode == "Zp" and n <= 64:
         calls["canonicalize_dvr"] = (canonicalize_dvr, (_anchored(ring, rng, n, n // 3 + 2),))
+    c = rand_scalar(ring, rng, nonzero=True)
+    while not c.is_unit() or c == ring.one():
+        c = rand_scalar(ring, rng, nonzero=True)
+    calls["compose_scale"] = (compose, (_dense(ring, rng, n, 1), PowerSeries(ring, {1: c}, n)))
     return calls
 
 
